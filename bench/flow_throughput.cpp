@@ -84,9 +84,9 @@ BENCHMARK_CAPTURE(BM_Stage, apte_stage2, "apte", 2);
 BENCHMARK_CAPTURE(BM_Stage, apte_stage3, "apte", 3);
 BENCHMARK_CAPTURE(BM_Stage, apte_stage4, "apte", 4);
 
-// Thread scaling of the full flow and of the two parallel per-net
-// stages (Arg = RabidOptions::threads).  The solution is bit-identical
-// at every point, so the curves chart pure wall-clock scaling.
+// The full flow at several RabidOptions::threads values (Arg).  Without
+// stage-2 shards no stage runs on the pool, so every row takes the same
+// serial path and the rows agree within noise.
 void BM_FullFlowThreads(benchmark::State& state, const char* circuit) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name(circuit);
   const netlist::Design design = circuits::generate_design(spec);
@@ -100,40 +100,6 @@ void BM_FullFlowThreads(benchmark::State& state, const char* circuit) {
   }
 }
 BENCHMARK_CAPTURE(BM_FullFlowThreads, ami49, "ami49")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
-
-void BM_StageThreads(benchmark::State& state, const char* circuit,
-                     int stage) {
-  const circuits::CircuitSpec& spec = circuits::spec_by_name(circuit);
-  const netlist::Design design = circuits::generate_design(spec);
-  const tile::TileGraph prototype = circuits::build_tile_graph(design, spec);
-  core::RabidOptions options;
-  options.threads = static_cast<std::int32_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    tile::TileGraph graph = prototype;
-    core::Rabid rabid(design, graph, options);
-    if (stage >= 3) {
-      rabid.run_stage1();
-      rabid.run_stage2();
-    }
-    state.ResumeTiming();
-    if (stage == 1) {
-      benchmark::DoNotOptimize(rabid.run_stage1());
-    } else {
-      benchmark::DoNotOptimize(rabid.run_stage3());
-    }
-  }
-}
-BENCHMARK_CAPTURE(BM_StageThreads, ami49_stage1, "ami49", 1)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_StageThreads, ami49_stage3, "ami49", 3)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -6,10 +6,9 @@
 //
 // Usage: table2_stages [--quick] [--threads N]
 //   --quick      runs apte + hp only
-//   --threads N  worker threads for the per-net stages (0 = one per
-//                hardware thread; solutions are bit-identical, so the
-//                wall column directly charts the parallel speedup
-//                against a --threads 1 run)
+//   --threads N  RabidOptions::threads (0 = one per hardware thread).
+//                These runs use no stage-2 shards, so every stage is
+//                serial and the thr column reads 1 at any N
 
 #include <cstdio>
 #include <cstdlib>

@@ -35,8 +35,9 @@
 /// Reentrancy: the DP is a pure function of (tree, L, q) with no shared
 /// state; q is evaluated only on the tree's own node tiles.  Concurrent
 /// calls on distinct nets are safe whenever each q is itself safe to
-/// call concurrently — core::Rabid's speculative parallel Stage 3
-/// exploits both properties (the tile set bounds what can go stale).
+/// call concurrently.  The flow calls it serially, one net at a time
+/// (core/buffer_commit.hpp): each commit changes the q(v) the next net
+/// is priced against.
 
 #include <functional>
 #include <span>

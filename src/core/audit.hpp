@@ -5,7 +5,7 @@
 ///
 /// The flow keeps the tile graph's w(e)/b(v) books incrementally
 /// consistent while several code paths mutate them (serial loops,
-/// speculative parallel batches with fallback re-runs, rip-up passes).
+/// region-sharded reroutes, the shared buffer-commit loop, rip-up passes).
 /// The auditor trusts none of that: it recomputes every invariant from
 /// scratch, from only the Design, the TileGraph, and the per-net states,
 /// and reports discrepancies instead of asserting.

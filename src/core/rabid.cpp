@@ -7,10 +7,10 @@
 #include <cstdio>
 #include <mutex>
 #include <numeric>
-#include <unordered_map>
 
 #include "buffer/timing_driven.hpp"
 #include "core/allocator.hpp"
+#include "core/buffer_commit.hpp"
 #include "core/checkpoint.hpp"
 #include "core/congestion_post.hpp"
 #include "core/solution_io.hpp"
@@ -83,8 +83,13 @@ Rabid::Rabid(const netlist::Design& design, tile::TileGraph& graph,
   // instance (obs off) never silences a concurrently observed flow.
   obs::Registry::instance().raise_level(options_.obs_level);
   nets_.resize(design.nets().size());
+  // Region shards are the only intra-flow concurrency: per-net work in
+  // every stage runs serially (DESIGN.md, "Parallelism").
   const std::size_t workers = util::resolve_thread_count(options_.threads);
-  if (workers >= 2) pool_ = std::make_unique<util::ThreadPool>(workers);
+  if (options_.stage2_shards > 0 &&
+      options_.stage2_mode == Stage2Mode::kRipUpReroute && workers >= 2) {
+    pool_ = std::make_unique<util::ThreadPool>(workers);
+  }
   if (options_.deadline_ms > 0.0) {
     has_deadline_ = true;
     deadline_ =
@@ -235,26 +240,24 @@ void Rabid::record_memory_gauges() const {
 
 void Rabid::refresh_delays() {
   obs::ScopedTimer obs_timer("refresh_delays", "flow");
-  const auto refresh_one = [this](std::size_t i) {
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
     NetState& n = nets_[i];
-    if (n.tree.empty()) return;
-    // Wide-wire classes scale the RC model per net (footnote 4).
-    const timing::Technology tech = timing::scaled_for_width(
-        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    if (n.buffer_types.empty()) {
-      n.delay = timing::evaluate_delay(n.tree, n.buffers, graph_, tech);
-    } else {
-      n.delay = timing::evaluate_delay_sized(n.tree, n.buffers,
-                                             n.buffer_types, graph_, tech);
-    }
-  };
-  // Each net touches only its own state; reads of the graph and design
-  // are shared and const, so any schedule gives identical delays.
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, nets_.size(), refresh_one);
-  } else {
-    for (std::size_t i = 0; i < nets_.size(); ++i) refresh_one(i);
+    if (n.tree.empty()) continue;
+    n.delay = net_delay(n, graph_, options_.tech,
+                        design_.net(static_cast<netlist::NetId>(i)).width);
   }
+}
+
+timing::DelayResult net_delay(const NetState& net,
+                              const tile::TileGraph& graph,
+                              const timing::Technology& tech,
+                              std::int32_t width) {
+  // Wide-wire classes scale the RC model per net (footnote 4).
+  const timing::Technology scaled = timing::scaled_for_width(tech, width);
+  return net.buffer_types.empty()
+             ? timing::evaluate_delay(net.tree, net.buffers, graph, scaled)
+             : timing::evaluate_delay_sized(net.tree, net.buffers,
+                                            net.buffer_types, graph, scaled);
 }
 
 std::vector<std::size_t> Rabid::nets_by_delay(bool ascending) const {
@@ -270,9 +273,7 @@ std::vector<std::size_t> Rabid::nets_by_delay(bool ascending) const {
 }
 
 StageStats Rabid::snapshot(std::string stage_name, double cpu_s) const {
-  return solution_snapshot(
-      graph_, nets_, std::move(stage_name), cpu_s,
-      pool_ == nullptr ? 1 : static_cast<std::int32_t>(pool_->size()));
+  return solution_snapshot(graph_, nets_, std::move(stage_name), cpu_s, 1);
 }
 
 StageStats solution_snapshot(const tile::TileGraph& graph,
@@ -357,37 +358,24 @@ route::RouteTree Rabid::build_net_tree(std::size_t index) const {
 StageStats Rabid::run_stage1() {
   obs::ScopedTimer obs_timer("stage1", "stage");
   const auto start = std::chrono::steady_clock::now();
-  const auto build_one = [this](std::size_t i) {
-    NetState& state = nets_[i];
-    // Expired deadline: leave the net unrouted (empty tree, flagged
-    // fail) rather than overrun — the honest partial solution.
-    if (deadline_hit()) return;
-    state.tree = build_net_tree(i);
-    state.meets_length_rule =
-        meets_rule(state.tree, {},
-                   design_.length_limit(static_cast<netlist::NetId>(i)));
-  };
-  if (pool_ != nullptr) {
-    // Construction is a pure function of the net and the graph geometry
-    // (it never reads the usage books), so building out of order and
-    // committing in net order reproduces the serial run exactly.
-    pool_->parallel_for(0, nets_.size(), build_one);
-  } else {
-    for (std::size_t i = 0; i < nets_.size(); ++i) build_one(i);
-  }
-  std::int64_t cancelled = 0;
+  // Construction reads only the net and the graph geometry, never the
+  // usage books, so each tree commits as soon as it is built.
   for (std::size_t i = 0; i < nets_.size(); ++i) {
-    if (nets_[i].tree.empty()) {
-      ++cancelled;
-      continue;
+    // Expired deadline: leave the remaining nets unrouted (empty tree,
+    // flagged fail) rather than overrun — the honest partial solution.
+    if (deadline_hit()) {
+      const auto cancelled = static_cast<std::int64_t>(nets_.size() - i);
+      nets_cancelled_ += cancelled;
+      obs::count(obs::Counter::kDeadlineNetsCancelled,
+                 static_cast<std::uint64_t>(cancelled));
+      break;
     }
-    nets_[i].tree.commit(graph_,
-                         design_.net(static_cast<netlist::NetId>(i)).width);
-  }
-  if (cancelled > 0) {
-    nets_cancelled_ += cancelled;
-    obs::count(obs::Counter::kDeadlineNetsCancelled,
-               static_cast<std::uint64_t>(cancelled));
+    const auto id = static_cast<netlist::NetId>(i);
+    NetState& state = nets_[i];
+    state.tree = build_net_tree(i);
+    state.tree.commit(graph_, design_.net(id).width);
+    state.meets_length_rule =
+        meets_rule(state.tree, {}, design_.length_limit(id));
   }
   refresh_delays();
   stage1_done_ = true;
@@ -852,74 +840,19 @@ StageStats Rabid::run_stage2() {
   refresh_delays();
   record_memory_gauges();
   StageStats stats = snapshot("2", seconds_since(start));
+  // The region shards are the only stage work the pool runs.
+  if (pool_ != nullptr) stats.threads = static_cast<std::int32_t>(pool_->size());
   stage_history_.push_back(stats);
   maybe_audit("2", /*final_stage=*/false);
   return stats;
 }
 
-void Rabid::buffer_net(std::size_t index, const std::vector<double>& demand,
-                       const buffer::InsertionResult* first_attempt) {
+void Rabid::buffer_net(std::size_t index, std::span<const double> demand) {
   NetState& state = nets_[index];
-  const std::int32_t L =
-      design_.length_limit(static_cast<netlist::NetId>(index));
-
-  // Tiles the DP must avoid because an earlier attempt oversubscribed
-  // them within this one net (q is computed per net, so a single net can
-  // otherwise claim more sites than a tile has left; see Section III-C's
-  // multiple-buffers-per-tile remark).
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0;; ++attempt) {
-    RABID_ASSERT_MSG(attempt < 64, "buffer commit failed to converge");
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) != forbidden.end())
-        return tile::kInfCost;
-      return graph_.buffer_cost(t, demand[static_cast<std::size_t>(t)]);
-    };
-    buffer::InsertionResult result =
-        attempt == 0 && first_attempt != nullptr
-            ? *first_attempt
-            : buffer::insert_buffers_planned_relaxed(state.tree, L, q,
-                                                     options_.buffer_library);
-
-    // Count proposed buffers per tile; find oversubscribed tiles.
-    bool ok = true;
-    std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-    for (const route::BufferPlacement& b : result.buffers) {
-      const tile::TileId t = state.tree.node(b.node).tile;
-      auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                             [&](const auto& p) { return p.first == t; });
-      if (it == per_tile.end()) {
-        per_tile.emplace_back(t, 1);
-      } else {
-        ++it->second;
-      }
-    }
-    for (const auto& [t, count] : per_tile) {
-      if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, count] : per_tile) {
-      for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    state.buffers = std::move(result.buffers);
-    // Unit libraries leave the tags empty (the historical state, and
-    // what the bit-identical goldens pin); the multi-type engine's
-    // chosen types become electrical cells so delays and dumps see them.
-    state.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      state.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    state.meets_length_rule = result.feasible && result.effective_limit <= L;
-    return;
-  }
+  commit_net_buffers(graph_, state.tree,
+                     design_.length_limit(static_cast<netlist::NetId>(index)),
+                     options_.buffer_library, demand, BufferDp::kRelaxed,
+                     state);
 }
 
 StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
@@ -948,6 +881,10 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
     state.buffers.clear();
     state.buffer_types.clear();
 
+    const timing::Technology tech = timing::scaled_for_width(
+        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
+    // van Ginneken takes a site predicate rather than q-costs, so it
+    // shares only the tally-and-commit half of the buffer-commit loop.
     std::vector<tile::TileId> forbidden;
     for (int attempt = 0;; ++attempt) {
       RABID_ASSERT_MSG(attempt < 64, "vG commit failed to converge");
@@ -957,39 +894,14 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
         return std::find(forbidden.begin(), forbidden.end(), t) ==
                forbidden.end();
       };
-      const timing::Technology tech = timing::scaled_for_width(
-          options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
       buffer::TimingDrivenResult result =
           use_inverters
               ? buffer::van_ginneken_with_inverters(state.tree, graph_, lib,
                                                     allow, tech)
               : buffer::van_ginneken(state.tree, graph_, lib, allow, tech);
-
-      bool ok = true;
-      std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-      for (const route::BufferPlacement& b : result.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                               [&](const auto& p) { return p.first == t; });
-        if (it == per_tile.end()) {
-          per_tile.emplace_back(t, 1);
-        } else {
-          ++it->second;
-        }
+      if (!try_commit_buffers(graph_, state.tree, result.buffers, forbidden)) {
+        continue;
       }
-      for (const auto& [t, count] : per_tile) {
-        if (count > graph_.site_supply(t) - graph_.site_usage(t)) {
-          forbidden.push_back(t);
-          ok = false;
-        }
-      }
-      if (!ok) continue;
-
-      for (const auto& [t, count] : per_tile) {
-        for (std::int32_t k = 0; k < count; ++k) graph_.add_buffer(t);
-      }
-      obs::count(obs::Counter::kBuffersCommitted,
-                 static_cast<std::uint64_t>(result.buffers.size()));
       state.buffers = std::move(result.buffers);
       state.buffer_types = std::move(result.types);
       break;
@@ -1037,29 +949,25 @@ StageStats Rabid::run_stage3() {
       std::iota(order.begin(), order.end(), 0U);
       break;
   }
-  if (pool_ != nullptr) {
-    assign_buffers_parallel(order, demand);
-  } else {
-    for (std::size_t k = 0; k < order.size(); ++k) {
-      // Per-net cancellation point: remaining nets keep their legal
-      // stage-2 routes, honestly flagged (no buffers, rule unmet).
-      if (deadline_hit()) {
-        const auto cancelled = static_cast<std::int64_t>(order.size() - k);
-        nets_cancelled_ += cancelled;
-        obs::count(obs::Counter::kDeadlineNetsCancelled,
-                   static_cast<std::uint64_t>(cancelled));
-        break;
-      }
-      const std::size_t i = order[k];
-      if (nets_[i].tree.empty()) continue;
-      // The current net no longer counts as "future demand".
-      const double p =
-          1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
-      for (const route::RouteNode& n : nets_[i].tree.nodes()) {
-        demand[static_cast<std::size_t>(n.tile)] -= p;
-      }
-      buffer_net(i, demand);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    // Per-net cancellation point: remaining nets keep their legal
+    // stage-2 routes, honestly flagged (no buffers, rule unmet).
+    if (deadline_hit()) {
+      const auto cancelled = static_cast<std::int64_t>(order.size() - k);
+      nets_cancelled_ += cancelled;
+      obs::count(obs::Counter::kDeadlineNetsCancelled,
+                 static_cast<std::uint64_t>(cancelled));
+      break;
     }
+    const std::size_t i = order[k];
+    if (nets_[i].tree.empty()) continue;
+    // The current net no longer counts as "future demand".
+    const double p =
+        1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
+    for (const route::RouteNode& n : nets_[i].tree.nodes()) {
+      demand[static_cast<std::size_t>(n.tile)] -= p;
+    }
+    buffer_net(i, demand);
   }
   refresh_delays();
   stage3_done_ = true;
@@ -1070,95 +978,10 @@ StageStats Rabid::run_stage3() {
   return stats;
 }
 
-void Rabid::assign_buffers_parallel(const std::vector<std::size_t>& order,
-                                    std::vector<double>& demand) {
-  // Speculative batches: per-net DPs run concurrently against the books
-  // as of the batch start; commits then replay serially in `order`.  A
-  // net whose tree crossed a tile that gained a buffer earlier in the
-  // same batch has stale q-costs and falls back to the serial DP, so
-  // the solution is bit-identical to the single-threaded loop at any
-  // thread count.
-  const std::size_t batch = pool_->size();
-  std::vector<std::uint8_t> dirty(
-      static_cast<std::size_t>(graph_.tile_count()), 0);
-  std::vector<double> scratch;
-  for (std::size_t b0 = 0; b0 < order.size(); b0 += batch) {
-    // Per-batch cancellation point (a batch is at most pool-size nets,
-    // so the granularity matches the serial per-net check).
-    if (deadline_hit()) {
-      const auto cancelled = static_cast<std::int64_t>(order.size() - b0);
-      nets_cancelled_ += cancelled;
-      obs::count(obs::Counter::kDeadlineNetsCancelled,
-                 static_cast<std::uint64_t>(cancelled));
-      break;
-    }
-    obs::ScopedTimer batch_timer("stage3 batch", "batch");
-    const std::size_t count = std::min(batch, order.size() - b0);
-
-    // Demand progression: replicate the serial per-node subtraction
-    // order on a copy of the p(v) book, recording each net's
-    // post-subtraction values for exactly the tiles its DP prices.
-    scratch = demand;
-    std::vector<std::unordered_map<tile::TileId, double>> net_demand(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = order[b0 + k];
-      const double p =
-          1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
-      for (const route::RouteNode& n : nets_[i].tree.nodes()) {
-        scratch[static_cast<std::size_t>(n.tile)] -= p;
-      }
-      for (const route::RouteNode& n : nets_[i].tree.nodes()) {
-        net_demand[k][n.tile] = scratch[static_cast<std::size_t>(n.tile)];
-      }
-    }
-
-    // Parallel phase: nothing mutates the graph while the DPs read it.
-    std::vector<buffer::InsertionResult> speculated(count);
-    pool_->parallel_for(0, count, [&](std::size_t k) {
-      const std::size_t i = order[b0 + k];
-      if (nets_[i].tree.empty()) return;  // deadline-cancelled in stage 1
-      const std::unordered_map<tile::TileId, double>& dm = net_demand[k];
-      const auto q = [&](tile::TileId t) {
-        const auto it = dm.find(t);
-        RABID_ASSERT_MSG(it != dm.end(),
-                         "speculative DP priced an off-tree tile");
-        return graph_.buffer_cost(t, it->second);
-      };
-      speculated[k] = buffer::insert_buffers_planned_relaxed(
-          nets_[i].tree, design_.length_limit(static_cast<netlist::NetId>(i)),
-          q, options_.buffer_library);
-    });
-
-    // Serial phase: commits in net order, exactly as the serial loop
-    // would.  A speculated result is valid while no earlier commit in
-    // this batch placed a buffer in any tile its DP priced.
-    std::fill(dirty.begin(), dirty.end(), 0);
-    for (std::size_t k = 0; k < count; ++k) {
-      const std::size_t i = order[b0 + k];
-      if (nets_[i].tree.empty()) continue;
-      const double p =
-          1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
-      bool fresh = true;
-      for (const route::RouteNode& n : nets_[i].tree.nodes()) {
-        demand[static_cast<std::size_t>(n.tile)] -= p;
-        if (dirty[static_cast<std::size_t>(n.tile)] != 0) fresh = false;
-      }
-      obs::count(fresh ? obs::Counter::kStage3SpecHits
-                       : obs::Counter::kStage3SpecMisses);
-      buffer_net(i, demand, fresh ? &speculated[k] : nullptr);
-      for (const route::BufferPlacement& b : nets_[i].buffers) {
-        dirty[static_cast<std::size_t>(nets_[i].tree.node(b.node).tile)] = 1;
-      }
-    }
-  }
-}
-
 StageStats Rabid::run_stage4() {
   RABID_ASSERT_MSG(stage3_done_, "stage 4 requires stage 3");
   obs::ScopedTimer obs_timer("stage4", "stage");
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<double> no_demand(
-      static_cast<std::size_t>(graph_.tile_count()), 0.0);
   const bool astar = options_.router_heuristic == RouterHeuristic::kAStar;
 
   // Flat cost tables so the (tile x L) search pays one load per
@@ -1244,7 +1067,7 @@ StageStats Rabid::run_stage4() {
       wire_cache.refresh_tree(state.tree);
 
       // Re-insert buffers net-wide, exactly as in Stage 3.
-      buffer_net(i, no_demand);
+      buffer_net(i, {});
       for (const route::BufferPlacement& b : state.buffers) {
         const tile::TileId t = state.tree.node(b.node).tile;
         site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);

@@ -14,18 +14,19 @@
 /// the tile graph's w(e)/b(v) books consistent at every step; stats()
 /// emits exactly the columns of Table II.
 ///
-/// Per-net work in Stages 1 and 3 (and every delay refresh) runs on a
-/// fixed-size thread pool when RabidOptions::threads allows; all book
-/// mutations stay serialized in the paper's net order, so the solution
-/// is bit-identical at any thread count (see DESIGN.md, "Parallelism").
+/// Per-net work runs serially in the paper's net order in every stage.
+/// The only intra-flow concurrency is Stage 2's region shards
+/// (RabidOptions::stage2_shards), whose solution is bit-identical at any
+/// thread count (see DESIGN.md, "Parallelism").
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "buffer/insertion.hpp"
+#include "buffer/library.hpp"
 #include "core/status.hpp"
 #include "netlist/design.hpp"
 #include "obs/counters.hpp"
@@ -125,12 +126,11 @@ struct RabidOptions {
   /// Prim-Dijkstra construction (0 = always PD).  Trades source-sink
   /// radius for wirelength; see the ablation bench.
   std::int32_t exact_steiner_max_terminals = 0;
-  /// Worker threads for the per-net stages (Stage-1 tree construction,
-  /// Stage-3 buffer DP, delay refreshes).  0 = one per hardware thread;
-  /// 1 = today's serial code path, instruction for instruction.  Any
-  /// value yields bit-identical solutions: per-net work runs in
-  /// parallel, but tile-site/wire-usage commits stay serialized in the
-  /// paper's net order.
+  /// Worker threads for the region-sharded Stage 2 (stage2_shards > 0)
+  /// and nothing else: every per-net stage runs serially.  0 = one per
+  /// hardware thread; 1 = no pool.  For a fixed shard count any value
+  /// yields bit-identical solutions.  (The MCF backend, which takes
+  /// these options too, sizes its oracle pool with it.)
   std::int32_t threads = 0;
   /// Wall-clock budget for the whole run, in milliseconds (0 = none).
   /// The clock starts when the Rabid instance is constructed.  Checked
@@ -191,8 +191,8 @@ struct StageStats {
   double avg_delay_ps = 0.0;
   /// Wall-clock seconds for the stage (the paper's "CPU" column).
   double cpu_s = 0.0;
-  /// Worker threads the stage ran with (1 == the serial reference path);
-  /// cpu_s at 1 thread over cpu_s at N threads is the stage's speedup.
+  /// Worker threads the stage actually used: the pool size on a sharded
+  /// Stage-2 row, 1 on every serial stage.
   std::int32_t threads = 1;
 };
 
@@ -209,6 +209,15 @@ struct NetState {
   bool meets_length_rule = false;
   timing::DelayResult delay;
 };
+
+/// Elmore delay of one net's buffered tree under `tech` scaled for the
+/// net's wire `width` (footnote 4): the unit-buffer evaluator when the
+/// net carries no type tags, the sized one otherwise.  The one dispatch
+/// every planner commits delays with.
+timing::DelayResult net_delay(const NetState& net,
+                              const tile::TileGraph& graph,
+                              const timing::Technology& tech,
+                              std::int32_t width);
 
 /// Mid-stage-2 resume point (RabidOptions::checkpoint_every_nets).
 ///
@@ -330,22 +339,13 @@ class Rabid {
 
  private:
   /// Stage-3 core, shared with Stage 4's re-buffering: optimal buffers
-  /// for one net under tile costs; updates books and the net state.
-  /// `first_attempt`, when given, supplies a precomputed result for the
-  /// first DP attempt (the speculative parallel path); it must have been
-  /// computed against the exact q-costs the serial execution would see.
-  void buffer_net(std::size_t index, const std::vector<double>& demand,
-                  const buffer::InsertionResult* first_attempt = nullptr);
+  /// for one net under eq. (2) costs with p(v) = `demand` (empty = 0);
+  /// updates books and the net state (core/buffer_commit.hpp).
+  void buffer_net(std::size_t index, std::span<const double> demand);
 
   /// Stage-1 construction for one net (PD/RSMT + embedding).  Pure:
   /// reads only the design and the graph's geometry, never its books.
   route::RouteTree build_net_tree(std::size_t index) const;
-
-  /// Stage-3 buffer assignment over `order` with per-net DPs speculated
-  /// across the pool and commits serialized in `order` (bit-identical to
-  /// the serial loop).  `demand` is the live p(v) book.
-  void assign_buffers_parallel(const std::vector<std::size_t>& order,
-                               std::vector<double>& demand);
 
   /// Net indices ordered by current delay (ascending or descending).
   std::vector<std::size_t> nets_by_delay(bool ascending) const;
@@ -358,7 +358,7 @@ class Rabid {
   /// Cooperative deadline probe: false when no deadline is configured
   /// (one predictable branch — the bench-compare gate holds the
   /// no-deadline flow to within 2%); latches deadline_expired_ on first
-  /// expiry.  Safe to call from pool workers.
+  /// expiry.
   bool deadline_hit() {
     if (!has_deadline_) return false;
     if (deadline_expired_.load(std::memory_order_relaxed)) return true;
@@ -381,7 +381,8 @@ class Rabid {
   tile::TileGraph& graph_;
   RabidOptions options_;
   std::vector<NetState> nets_;
-  /// Live only when options_.threads resolves to >= 2 workers.
+  /// Live only for a sharded rip-up Stage 2 (stage2_shards > 0) when
+  /// options_.threads resolves to >= 2 workers.
   std::unique_ptr<util::ThreadPool> pool_;
   /// Installed by restore_stage2_progress(); consumed (reset) by the
   /// next run_stage2().
@@ -394,7 +395,7 @@ class Rabid {
   /// Cooperative-deadline state (see RabidOptions::deadline_ms).
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_;
-  /// Latched on first expiry; atomic because pool workers probe it.
+  /// Latched on first expiry; atomic so another thread may read it.
   /// The wrapper restores movability (Rabid is only ever moved between
   /// runs, never while workers are live, so a relaxed copy is safe).
   struct ExpiredFlag {

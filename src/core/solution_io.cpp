@@ -197,12 +197,7 @@ LoadedSolution read_solution_impl(std::istream& in,
       }
     }
     // Delays exactly as Rabid::refresh_delays() commits them.
-    const timing::Technology scaled = timing::scaled_for_width(tech, net.width);
-    current.delay =
-        current.buffer_types.empty()
-            ? timing::evaluate_delay(current.tree, current.buffers, g, scaled)
-            : timing::evaluate_delay_sized(current.tree, current.buffers,
-                                           current.buffer_types, g, scaled);
+    current.delay = net_delay(current, g, tech, net.width);
     sol.nets.push_back(std::move(current));
     ++net_index;
   };

@@ -16,6 +16,11 @@ namespace rabid::fuzz {
 
 namespace {
 
+/// Region shards for both differential runs.  Stage 2's shards are the
+/// only work the thread pool runs, so without them the two runs would
+/// take the same serial path at any thread counts.
+constexpr std::int32_t kDifferentialShards = 4;
+
 /// Appends one difference record, honoring the entry cap.
 class DiffSink {
  public:
@@ -135,6 +140,7 @@ FuzzResult run_differential(std::uint64_t seed,
   const auto run = [&](std::int32_t threads, tile::TileGraph& graph) {
     core::RabidOptions opt;
     opt.threads = threads;
+    opt.stage2_shards = kDifferentialShards;
     opt.audit_level = core::AuditLevel::kPerStage;
     auto rabid = std::make_unique<core::Rabid>(design, graph, opt);
     rabid->run_all();

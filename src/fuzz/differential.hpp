@@ -4,7 +4,8 @@
 /// Fuzzed differential testing across the full RABID flow.
 ///
 /// One fuzz instance = one seeded RandomCircuit, planned end to end
-/// twice — once at `threads_a`, once at `threads_b` workers — with the
+/// twice with a region-sharded Stage 2 (the only stage the thread pool
+/// runs) — once at `threads_a`, once at `threads_b` workers — with the
 /// SolutionAuditor (core/audit.hpp) running after every stage of both
 /// runs.  The two audited solutions are then diffed node for node:
 /// trees, buffer placements, length-rule flags, delays, and both usage

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "buffer/insertion.hpp"
+#include "core/buffer_commit.hpp"
 #include "obs/counters.hpp"
-#include "timing/delay.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -51,23 +51,6 @@ bool same_buffers(const route::BufferList& a, const route::BufferList& b) {
     if (a[i].node != b[i].node || a[i].child != b[i].child) return false;
   }
   return true;
-}
-
-/// Buffer count per distinct tile of one placement list.
-std::vector<std::pair<tile::TileId, std::int32_t>> buffers_per_tile(
-    const route::RouteTree& tree, const route::BufferList& buffers) {
-  std::vector<std::pair<tile::TileId, std::int32_t>> per_tile;
-  for (const route::BufferPlacement& b : buffers) {
-    const tile::TileId t = tree.node(b.node).tile;
-    auto it = std::find_if(per_tile.begin(), per_tile.end(),
-                           [&](const auto& p) { return p.first == t; });
-    if (it == per_tile.end()) {
-      per_tile.emplace_back(t, 1);
-    } else {
-      ++it->second;
-    }
-  }
-  return per_tile;
 }
 
 }  // namespace
@@ -208,7 +191,7 @@ bool McfAllocator::fits(const netlist::NetId id, const Candidate& cand) const {
         graph_.edge_between(node.tile, cand.tree.node(node.parent).tile);
     if (graph_.wire_usage(e) + width > graph_.wire_capacity(e)) return false;
   }
-  for (const auto& [t, need] : buffers_per_tile(cand.tree, cand.buffers)) {
+  for (const auto& [t, need] : core::buffers_per_tile(cand.tree, cand.buffers)) {
     if (graph_.site_usage(t) + need > graph_.site_supply(t)) return false;
   }
   return true;
@@ -218,7 +201,7 @@ void McfAllocator::commit(netlist::NetId id, const Candidate& cand) {
   core::NetState& state = nets_[static_cast<std::size_t>(id)];
   state.tree = cand.tree;
   state.tree.commit(graph_, design_.net(id).width);
-  for (const auto& [t, need] : buffers_per_tile(state.tree, cand.buffers)) {
+  for (const auto& [t, need] : core::buffers_per_tile(state.tree, cand.buffers)) {
     for (std::int32_t k = 0; k < need; ++k) graph_.add_buffer(t);
   }
   obs::count(obs::Counter::kBuffersCommitted,
@@ -245,57 +228,18 @@ void McfAllocator::route_fallback(netlist::NetId id,
   // Buffer under live eq. (2) costs (infinite at full tiles, so
   // b(v) <= B(v) holds by construction), with the stage-3 forbidden-tile
   // retry against single-net oversubscription.
-  const std::int32_t L = design_.length_limit(id);
-  std::vector<tile::TileId> forbidden;
-  for (int attempt = 0;; ++attempt) {
-    RABID_ASSERT_MSG(attempt < 64, "mcf buffer commit failed to converge");
-    if (attempt > 0) obs::count(obs::Counter::kBufferCommitRetries);
-    const auto q = [&](tile::TileId t) {
-      if (std::find(forbidden.begin(), forbidden.end(), t) != forbidden.end())
-        return tile::kInfCost;
-      return graph_.buffer_cost(t, 0.0);
-    };
-    buffer::InsertionResult result = buffer::insert_buffers_planned_relaxed(
-        state.tree, L, q, options_.buffer_library);
-
-    bool ok = true;
-    const auto per_tile = buffers_per_tile(state.tree, result.buffers);
-    for (const auto& [t, need] : per_tile) {
-      if (need > graph_.site_supply(t) - graph_.site_usage(t)) {
-        forbidden.push_back(t);
-        ok = false;
-      }
-    }
-    if (!ok) continue;
-
-    for (const auto& [t, need] : per_tile) {
-      for (std::int32_t k = 0; k < need; ++k) graph_.add_buffer(t);
-    }
-    obs::count(obs::Counter::kBuffersCommitted,
-               static_cast<std::uint64_t>(result.buffers.size()));
-    state.buffers = std::move(result.buffers);
-    state.buffer_types.clear();
-    for (const std::int32_t t : result.types) {
-      state.buffer_types.push_back(
-          options_.buffer_library.electrical_of(static_cast<std::size_t>(t)));
-    }
-    state.meets_length_rule = result.feasible && result.effective_limit <= L;
-    return;
-  }
+  core::commit_net_buffers(graph_, state.tree, design_.length_limit(id),
+                           options_.buffer_library, {},
+                           core::BufferDp::kRelaxed, state);
 }
 
 void McfAllocator::refresh_delays(util::ThreadPool* pool) {
   const auto refresh_one = [this](std::size_t i) {
     core::NetState& n = nets_[i];
     if (n.tree.empty()) return;
-    const timing::Technology tech = timing::scaled_for_width(
-        options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
-    if (n.buffer_types.empty()) {
-      n.delay = timing::evaluate_delay(n.tree, n.buffers, graph_, tech);
-    } else {
-      n.delay = timing::evaluate_delay_sized(n.tree, n.buffers,
-                                             n.buffer_types, graph_, tech);
-    }
+    n.delay = core::net_delay(
+        n, graph_, options_.tech,
+        design_.net(static_cast<netlist::NetId>(i)).width);
   };
   if (pool != nullptr) {
     pool->parallel_for(0, nets_.size(), refresh_one);

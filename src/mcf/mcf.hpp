@@ -47,6 +47,7 @@
 #include <memory>
 #include <vector>
 
+#include "buffer/insertion.hpp"
 #include "core/allocator.hpp"
 #include "route/maze.hpp"
 #include "util/thread_pool.hpp"

@@ -34,8 +34,6 @@ constexpr std::array<std::string_view,
         "dp.limit_relaxations",
         "dp.kernels",
         "dp.states_pruned",
-        "stage3.spec_hits",
-        "stage3.spec_misses",
         "buffers.committed",
         "buffers.removed",
         "buffers.commit_retries",

@@ -82,10 +82,7 @@ enum class Counter : std::uint16_t {
   kDpLimitRelaxations, ///< insert_buffers_relaxed limit doublings
   kDpKernels,          ///< span-kernel invocations (advance/join/min)
   kDpStatesPruned,     ///< dominated (cost, load) candidates dropped
-  // core/rabid.cpp — stage-3 speculative parallel batches.
-  kStage3SpecHits,    ///< speculated DP results committed as-is
-  kStage3SpecMisses,  ///< stale speculations re-run serially
-  // core/rabid.cpp — buffer commits against the b(v) book.
+  // core/buffer_commit.cpp and the rip-up loops — the b(v) book.
   kBuffersCommitted,     ///< add_buffer calls from the flow
   kBuffersRemoved,       ///< remove_buffer calls from the flow
   kBufferCommitRetries,  ///< per-net DP re-runs after oversubscription

@@ -1,13 +1,14 @@
 #pragma once
 
 /// \file thread_pool.hpp
-/// A fixed-size thread pool for the per-net stages of the flow.
+/// A fixed-size thread pool for the flow's coarse parallel work: the
+/// region shards of Stage 2 and the MCF backend's oracle blocks.
 ///
 /// Deliberately work-stealing-free: tasks are pulled from one shared
-/// FIFO queue under a mutex.  The per-net units of work (a Prim-Dijkstra
-/// construction, a buffer-assignment DP) are large enough that queue
-/// contention is noise, and a single queue keeps the scheduling model
-/// simple enough to reason about when proving determinism.
+/// FIFO queue under a mutex.  The units of work (a region's reroutes, a
+/// block of oracle routes) are large enough that queue contention is
+/// noise, and a single queue keeps the scheduling model simple enough to
+/// reason about when proving determinism.
 ///
 /// Two entry points:
 ///   submit(fn)                 -> std::future (exceptions propagate
@@ -20,7 +21,8 @@
 /// Determinism contract: the pool never reorders results — callers index
 /// into pre-sized output vectors by i, so which worker runs which index
 /// is irrelevant.  Any cross-net commit ordering is the caller's job
-/// (see core::Rabid, which commits in net order after a parallel phase).
+/// (see core::Rabid's sharded Stage 2, which replays boundary nets in
+/// net-id order after the parallel region phase).
 
 #include <condition_variable>
 #include <cstddef>

@@ -14,14 +14,20 @@ namespace {
 /// The parallelism contract (DESIGN.md, "Parallelism"): any thread count
 /// produces the *same solution*, bit for bit, as the serial run — same
 /// trees, same buffer sites, same wire usage, same costs and delays.
-/// Per-net work is speculated across the pool, but every book commit is
-/// replayed serially in the paper's net order.
+/// Per-net work is serial in every stage; the thread pool runs only the
+/// region shards of Stage 2.  Every sweep therefore runs both without
+/// shards (the pool is never built, so the runs must agree trivially)
+/// and with four shards (the pool carries real work), through all four
+/// stages.
+
+constexpr std::int32_t kShardCounts[] = {0, 4};
 
 core::Rabid run_flow(const netlist::Design& design, tile::TileGraph& graph,
-                     std::int32_t threads,
+                     std::int32_t threads, std::int32_t shards,
                      std::vector<core::StageStats>& stats) {
   core::RabidOptions options;
   options.threads = threads;
+  options.stage2_shards = shards;
   core::Rabid rabid(design, graph, options);
   stats = rabid.run_all();
   return rabid;
@@ -72,34 +78,43 @@ TEST_P(Determinism, FourThreadsMatchesOneThread) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name(GetParam());
   const netlist::Design design = circuits::generate_design(spec);
 
-  tile::TileGraph g1 = circuits::build_tile_graph(design, spec);
-  std::vector<core::StageStats> s1;
-  const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, s1);
+  for (const std::int32_t shards : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "stage2_shards=" << shards);
+    tile::TileGraph g1 = circuits::build_tile_graph(design, spec);
+    std::vector<core::StageStats> s1;
+    const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, shards, s1);
 
-  tile::TileGraph g4 = circuits::build_tile_graph(design, spec);
-  std::vector<core::StageStats> s4;
-  const core::Rabid r4 = run_flow(design, g4, /*threads=*/4, s4);
+    tile::TileGraph g4 = circuits::build_tile_graph(design, spec);
+    std::vector<core::StageStats> s4;
+    const core::Rabid r4 = run_flow(design, g4, /*threads=*/4, shards, s4);
 
-  expect_identical_solutions(r1, r4);
+    expect_identical_solutions(r1, r4);
 
-  // Stage-level stats agree exactly too (all but the wall clock).
-  ASSERT_EQ(s1.size(), s4.size());
-  for (std::size_t k = 0; k < s1.size(); ++k) {
-    EXPECT_EQ(s1[k].overflow, s4[k].overflow);
-    EXPECT_EQ(s1[k].buffers, s4[k].buffers);
-    EXPECT_EQ(s1[k].failed_nets, s4[k].failed_nets);
-    EXPECT_EQ(s1[k].max_wire_congestion, s4[k].max_wire_congestion);
-    EXPECT_EQ(s1[k].wirelength_mm, s4[k].wirelength_mm);
-    EXPECT_EQ(s1[k].max_delay_ps, s4[k].max_delay_ps);
-    EXPECT_EQ(s1[k].avg_delay_ps, s4[k].avg_delay_ps);
+    // Stage-level stats agree exactly too (all but the wall clock).
+    ASSERT_EQ(s1.size(), s4.size());
+    for (std::size_t k = 0; k < s1.size(); ++k) {
+      EXPECT_EQ(s1[k].overflow, s4[k].overflow);
+      EXPECT_EQ(s1[k].buffers, s4[k].buffers);
+      EXPECT_EQ(s1[k].failed_nets, s4[k].failed_nets);
+      EXPECT_EQ(s1[k].max_wire_congestion, s4[k].max_wire_congestion);
+      EXPECT_EQ(s1[k].wirelength_mm, s4[k].wirelength_mm);
+      EXPECT_EQ(s1[k].max_delay_ps, s4[k].max_delay_ps);
+      EXPECT_EQ(s1[k].avg_delay_ps, s4[k].avg_delay_ps);
+    }
+    // Each row reports the workers its stage actually used: the pool
+    // runs only a sharded stage 2, so every other row is serial.
+    ASSERT_EQ(s4.size(), 4u);
+    for (std::size_t k = 0; k < s4.size(); ++k) {
+      EXPECT_EQ(s1[k].threads, 1) << "stage " << s1[k].stage;
+      EXPECT_EQ(s4[k].threads, k == 1 && shards > 0 ? 4 : 1)
+          << "stage " << s4[k].stage;
+    }
+
+    // Both runs keep the tile-graph books exactly in sync with per-net
+    // state (aborts on mismatch).
+    r1.check_books();
+    r4.check_books();
   }
-  EXPECT_EQ(s1.back().threads, 1);
-  EXPECT_EQ(s4.back().threads, 4);
-
-  // Both runs keep the tile-graph books exactly in sync with per-net
-  // state (aborts on mismatch).
-  r1.check_books();
-  r4.check_books();
 }
 
 // apte is the smallest CBL circuit; xerox adds multi-terminal nets with
@@ -111,34 +126,37 @@ INSTANTIATE_TEST_SUITE_P(SeededCircuits, Determinism,
                          });
 
 /// The contract must hold beyond the two hand-picked circuits: sweep
-/// thread counts {1, 2, 4, 8} over seeded random instances (structurally
-/// diverse grids, L_i values, site supplies), requiring every run to be
-/// bit-identical to the serial one *and* clean under the independent
-/// SolutionAuditor — determinism of a corrupt solution would be
-/// worthless.
+/// thread counts {1, 2, 4, 8} at shard counts {0, 4} over seeded random
+/// instances (structurally diverse grids, L_i values, site supplies),
+/// requiring every run to be bit-identical to the serial one *and* clean
+/// under the independent SolutionAuditor — determinism of a corrupt
+/// solution would be worthless.
 class RandomDeterminism : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomDeterminism, ThreadSweepIsBitIdenticalAndAuditClean) {
   const circuits::RandomCircuit rc(GetParam());
   const netlist::Design design = rc.design();
 
-  tile::TileGraph g1 = rc.graph(design);
-  std::vector<core::StageStats> s1;
-  const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, s1);
-  const core::AuditReport serial_audit = r1.audit();
-  EXPECT_TRUE(serial_audit.clean()) << rc.name() << "\n"
-                                    << serial_audit.summary();
-  EXPECT_EQ(serial_audit.nets_audited, design.nets().size());
+  for (const std::int32_t shards : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "stage2_shards=" << shards);
+    tile::TileGraph g1 = rc.graph(design);
+    std::vector<core::StageStats> s1;
+    const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, shards, s1);
+    const core::AuditReport serial_audit = r1.audit();
+    EXPECT_TRUE(serial_audit.clean()) << rc.name() << "\n"
+                                      << serial_audit.summary();
+    EXPECT_EQ(serial_audit.nets_audited, design.nets().size());
 
-  for (const std::int32_t threads : {2, 4, 8}) {
-    tile::TileGraph gn = rc.graph(design);
-    std::vector<core::StageStats> sn;
-    const core::Rabid rn = run_flow(design, gn, threads, sn);
-    expect_identical_solutions(r1, rn);
-    const core::AuditReport audit = rn.audit();
-    EXPECT_TRUE(audit.clean())
-        << rc.name() << " at " << threads << " threads\n"
-        << audit.summary();
+    for (const std::int32_t threads : {2, 4, 8}) {
+      tile::TileGraph gn = rc.graph(design);
+      std::vector<core::StageStats> sn;
+      const core::Rabid rn = run_flow(design, gn, threads, shards, sn);
+      expect_identical_solutions(r1, rn);
+      const core::AuditReport audit = rn.audit();
+      EXPECT_TRUE(audit.clean())
+          << rc.name() << " at " << threads << " threads\n"
+          << audit.summary();
+    }
   }
 }
 
@@ -149,15 +167,18 @@ TEST(Determinism, OddThreadCountAndAutoAlsoMatchSerial) {
   const circuits::CircuitSpec& spec = circuits::spec_by_name("apte");
   const netlist::Design design = circuits::generate_design(spec);
 
-  tile::TileGraph g1 = circuits::build_tile_graph(design, spec);
-  std::vector<core::StageStats> s1;
-  const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, s1);
+  for (const std::int32_t shards : kShardCounts) {
+    SCOPED_TRACE(::testing::Message() << "stage2_shards=" << shards);
+    tile::TileGraph g1 = circuits::build_tile_graph(design, spec);
+    std::vector<core::StageStats> s1;
+    const core::Rabid r1 = run_flow(design, g1, /*threads=*/1, shards, s1);
 
-  for (const std::int32_t threads : {0, 3}) {
-    tile::TileGraph gn = circuits::build_tile_graph(design, spec);
-    std::vector<core::StageStats> sn;
-    const core::Rabid rn = run_flow(design, gn, threads, sn);
-    expect_identical_solutions(r1, rn);
+    for (const std::int32_t threads : {0, 3}) {
+      tile::TileGraph gn = circuits::build_tile_graph(design, spec);
+      std::vector<core::StageStats> sn;
+      const core::Rabid rn = run_flow(design, gn, threads, shards, sn);
+      expect_identical_solutions(r1, rn);
+    }
   }
 }
 

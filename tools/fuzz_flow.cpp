@@ -1,11 +1,12 @@
 // fuzz_flow — fuzzed differential testing of the full RABID flow.
 //
 // Each instance generates a seeded random circuit (circuits/
-// random_circuit.hpp), runs the four-stage flow once serially and once
-// on a worker pool, audits both runs after every stage with the
-// independent SolutionAuditor, and diffs the two solutions node for
-// node.  Any difference or audit violation fails the instance; the
-// failing seeds replay the exact instance on any machine.
+// random_circuit.hpp), runs the four-stage flow with a region-sharded
+// stage 2 once serially and once on a worker pool, audits both runs
+// after every stage with the independent SolutionAuditor, and diffs the
+// two solutions node for node.  Any difference or audit violation fails
+// the instance; the failing seeds replay the exact instance on any
+// machine.
 //
 // Unless --no-robustness is given, every seed additionally runs the
 // hardening sweep (fuzz::run_robustness): the same circuit re-planned

@@ -16,9 +16,11 @@
 //                      --trace, --dump-solution and --svg work for every
 //                      backend; stage/checkpoint/deadline flags are
 //                      RABID-only and rejected elsewhere
-//   --threads N        worker threads for the per-net stages (default:
-//                      one per hardware thread; 1 = serial; any value
-//                      yields a bit-identical solution)
+//   --threads N        worker threads for the region-sharded stage 2
+//                      (--stage2-shards) and the mcf oracle; every
+//                      per-net stage is serial (default: one per
+//                      hardware thread; any value yields a
+//                      bit-identical solution)
 //   --grid NxM         override the tiling (default: Table I)
 //   --sites N          override the buffer-site count (default: Table I)
 //   --no-blocked       disable the 9x9 blocked cache region

@@ -53,6 +53,16 @@ bool try_commit_buffers(tile::TileGraph& graph, const route::RouteTree& tree,
   return true;
 }
 
+void release_buffers(tile::TileGraph& graph, NetState& state) {
+  obs::count(obs::Counter::kBuffersRemoved,
+             static_cast<std::uint64_t>(state.buffers.size()));
+  for (const route::BufferPlacement& b : state.buffers) {
+    graph.remove_buffer(state.tree.node(b.node).tile);
+  }
+  state.buffers.clear();
+  state.buffer_types.clear();
+}
+
 bool commit_net_buffers(tile::TileGraph& graph, const route::RouteTree& tree,
                         std::int32_t L, const buffer::BufferLibrary& library,
                         std::span<const double> demand, BufferDp dp,

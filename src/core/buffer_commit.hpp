@@ -2,7 +2,8 @@
 
 /// \file buffer_commit.hpp
 /// The buffer-commit loop every planner shares (batch stages 3/4, ECO
-/// re-buffering, stream admission, the MCF fallback route).
+/// re-buffering, stream admission, the MCF fallback route), and its
+/// inverse, the buffer release.
 ///
 /// The length-based DP prices each tile with q(v) computed per net, so a
 /// single net can claim more sites in one tile than the tile has left
@@ -37,6 +38,11 @@ std::vector<std::pair<tile::TileId, std::int32_t>> buffers_per_tile(
 bool try_commit_buffers(tile::TileGraph& graph, const route::RouteTree& tree,
                         const route::BufferList& buffers,
                         std::vector<tile::TileId>& forbidden);
+
+/// Returns every site `state` holds to the books (one remove_buffer per
+/// placement, counted as obs::Counter::kBuffersRemoved) and clears its
+/// buffers and type tags.  The tree and its wires are untouched.
+void release_buffers(tile::TileGraph& graph, NetState& state);
 
 /// Which DP variant the loop runs, and what an infeasible result means.
 enum class BufferDp {

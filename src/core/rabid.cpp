@@ -14,7 +14,7 @@
 #include "core/checkpoint.hpp"
 #include "core/congestion_post.hpp"
 #include "core/solution_io.hpp"
-#include "core/twopath.hpp"
+#include "core/two_path_polish.hpp"
 #include "obs/memory.hpp"
 #include "obs/trace.hpp"
 #include "route/embed.hpp"
@@ -317,13 +317,9 @@ void Rabid::check_books() const {
     if (n.tree.empty()) continue;
     const std::int32_t width =
         design_.net(static_cast<netlist::NetId>(i)).width;
-    for (const route::RouteNode& node : n.tree.nodes()) {
-      if (node.parent != route::kNoNode) {
-        const tile::EdgeId e = shadow.edge_between(
-            node.tile, n.tree.node(node.parent).tile);
-        for (std::int32_t k = 0; k < width; ++k) shadow.add_wire(e);
-      }
-    }
+    route::for_each_edge(n.tree, shadow, [&](tile::EdgeId e) {
+      for (std::int32_t k = 0; k < width; ++k) shadow.add_wire(e);
+    });
   }
   for (tile::EdgeId e = 0; e < graph_.edge_count(); ++e) {
     RABID_ASSERT_MSG(shadow.wire_usage(e) == graph_.wire_usage(e),
@@ -404,7 +400,6 @@ StageStats Rabid::run_stage2() {
   } else {
     order = nets_by_delay(/*ascending=*/true);
   }
-  const bool astar = options_.router_heuristic == RouterHeuristic::kAStar;
 
   // Per-pass flat edge costs: the eq. (1) / PathFinder evaluation is
   // hoisted out of the wavefront inner loop into a cache that is
@@ -425,9 +420,8 @@ StageStats Rabid::run_stage2() {
     } else {
       cache.refresh_tree(state.tree);
     }
-    const double floor = !astar                  ? 0.0
-                         : shard_floor != nullptr ? *shard_floor
-                                                  : cache.min_cost();
+    const double floor =
+        shard_floor != nullptr ? *shard_floor : cache.min_cost();
     state.tree = mr.route_net(net, options_.pd_alpha, cache.values(), floor);
     state.tree.commit(graph_, net.width);
     if (shard_floor != nullptr) {
@@ -548,27 +542,17 @@ StageStats Rabid::run_stage2() {
     // changed: every overflowed edge is dirty, so any net still causing
     // overflow is always ripped up.
     const auto net_dirty = [&](std::size_t i) {
-      const route::RouteTree& tree = nets_[i].tree;
-      for (const route::RouteNode& n : tree.nodes()) {
-        if (n.parent == route::kNoNode) continue;
-        const tile::EdgeId e =
-            graph_.edge_between(n.tile, tree.node(n.parent).tile);
-        if (edge_dirty[static_cast<std::size_t>(e)] != 0) return true;
-      }
-      return false;
+      return route::any_edge(nets_[i].tree, graph_, [&](tile::EdgeId e) {
+        return edge_dirty[static_cast<std::size_t>(e)] != 0;
+      });
     };
     // Does the net's current tree ride any edge that is overflowed right
     // now (books, not snapshot)?  Drives the sharded engine's
     // iteration-0 selectivity and its boundary escalation.
     const auto net_overflowed = [&](std::size_t i) {
-      const route::RouteTree& tree = nets_[i].tree;
-      for (const route::RouteNode& n : tree.nodes()) {
-        if (n.parent == route::kNoNode) continue;
-        const tile::EdgeId e =
-            graph_.edge_between(n.tile, tree.node(n.parent).tile);
-        if (graph_.wire_usage(e) > graph_.wire_capacity(e)) return true;
-      }
-      return false;
+      return route::any_edge(nets_[i].tree, graph_, [&](tile::EdgeId e) {
+        return graph_.wire_usage(e) > graph_.wire_capacity(e);
+      });
     };
 
     if (options_.stage2_shards <= 0) {
@@ -748,7 +732,7 @@ StageStats Rabid::run_stage2() {
           if (local[r].empty()) return;
           std::unique_ptr<route::MazeRouter> mr = acquire_router();
           const tile::TileSpan rs = regions.span(static_cast<std::int32_t>(r));
-          floors[r] = astar ? cache.min_over(interior[r]) : 0.0;
+          floors[r] = cache.min_over(interior[r]);
           for (const std::size_t i : local[r]) {
             tile::TileSpan s = halo_span(i);
             s.x0 = std::max(s.x0, rs.x0);
@@ -767,10 +751,8 @@ StageStats Rabid::run_stage2() {
         }
         // Fold the shard floors back into the global bound, then replay
         // the boundary-crossing nets serially, unconfined.
-        if (astar) {
-          for (std::size_t r = 0; r < R; ++r) {
-            if (!local[r].empty()) cache.lower_min(floors[r]);
-          }
+        for (std::size_t r = 0; r < R; ++r) {
+          if (!local[r].empty()) cache.lower_min(floors[r]);
         }
         // A congested reroute is what blows a wavefront up — the A*
         // floor is a chip-wide lower bound, so a path priced through
@@ -847,14 +829,6 @@ StageStats Rabid::run_stage2() {
   return stats;
 }
 
-void Rabid::buffer_net(std::size_t index, std::span<const double> demand) {
-  NetState& state = nets_[index];
-  commit_net_buffers(graph_, state.tree,
-                     design_.length_limit(static_cast<netlist::NetId>(index)),
-                     options_.buffer_library, demand, BufferDp::kRelaxed,
-                     state);
-}
-
 StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
                                          const timing::BufferLibrary& lib,
                                          bool use_inverters) {
@@ -873,13 +847,7 @@ StageStats Rabid::rebuffer_timing_driven(std::size_t worst_nets,
     if (state.tree.empty()) continue;
     // Return this net's sites to the pool; its old solution stays
     // reachable, so the optimum can only improve.
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(state.buffers.size()));
-    for (const route::BufferPlacement& b : state.buffers) {
-      graph_.remove_buffer(state.tree.node(b.node).tile);
-    }
-    state.buffers.clear();
-    state.buffer_types.clear();
+    release_buffers(graph_, state);
 
     const timing::Technology tech = timing::scaled_for_width(
         options_.tech, design_.net(static_cast<netlist::NetId>(i)).width);
@@ -960,14 +928,19 @@ StageStats Rabid::run_stage3() {
       break;
     }
     const std::size_t i = order[k];
-    if (nets_[i].tree.empty()) continue;
+    NetState& state = nets_[i];
+    if (state.tree.empty()) continue;
     // The current net no longer counts as "future demand".
-    const double p =
-        1.0 / design_.length_limit(static_cast<netlist::NetId>(i));
-    for (const route::RouteNode& n : nets_[i].tree.nodes()) {
+    const std::int32_t L =
+        design_.length_limit(static_cast<netlist::NetId>(i));
+    const double p = 1.0 / L;
+    for (const route::RouteNode& n : state.tree.nodes()) {
       demand[static_cast<std::size_t>(n.tile)] -= p;
     }
-    buffer_net(i, demand);
+    // Optimal buffers under eq. (2) costs at this p(v), committed
+    // through the shared loop (core/buffer_commit.hpp).
+    commit_net_buffers(graph_, state.tree, L, options_.buffer_library,
+                       demand, BufferDp::kRelaxed, state);
   }
   refresh_delays();
   stage3_done_ = true;
@@ -982,22 +955,15 @@ StageStats Rabid::run_stage4() {
   RABID_ASSERT_MSG(stage3_done_, "stage 4 requires stage 3");
   obs::ScopedTimer obs_timer("stage4", "stage");
   const auto start = std::chrono::steady_clock::now();
-  const bool astar = options_.router_heuristic == RouterHeuristic::kAStar;
 
-  // Flat cost tables so the (tile x L) search pays one load per
-  // relaxation.  Wire usage only moves at uncommit/commit, buffer-site
-  // usage only at remove_buffer/buffer_net — each point below refreshes
-  // exactly the entries it touched.
+  // Flat eq. (1) costs so the (tile x L) search pays one load per
+  // relaxation; the polish refreshes exactly the entries it touches.
   route::EdgeCostCache wire_cache(graph_, [this](tile::EdgeId e) {
     return route::soft_wire_cost(graph_, e);
   });
-  std::vector<double> site_cost(static_cast<std::size_t>(graph_.tile_count()));
-  for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
-  // One search object for the whole stage: its stamped (tile x L) scratch
-  // warms up once and every later two-path touches only visited states.
-  TwoPathSearch search(graph_);
+  TwoPathPolish polish(graph_, wire_cache, options_.buffer_library,
+                       options_.stage4_wire_weight,
+                       options_.stage4_buffer_weight);
 
   for (std::int32_t iter = 0; iter < options_.postprocess_iterations;
        ++iter) {
@@ -1007,78 +973,17 @@ StageStats Rabid::run_stage4() {
       // Per-net cancellation point: a skipped net keeps its complete
       // (stage-3) solution, so the state stays fully legal.
       if (deadline_hit()) break;
-      NetState& state = nets_[i];
-      if (state.tree.empty()) continue;
-      const std::int32_t L =
-          design_.length_limit(static_cast<netlist::NetId>(i));
-
-      // Rip out the net's buffers and wires from the books.
-      obs::count(obs::Counter::kBuffersRemoved,
-                 static_cast<std::uint64_t>(state.buffers.size()));
-      for (const route::BufferPlacement& b : state.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        graph_.remove_buffer(t);
-        site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-      }
-      state.buffers.clear();
-      const std::int32_t width =
-          design_.net(static_cast<netlist::NetId>(i)).width;
-      state.tree.uncommit(graph_, width);
-      wire_cache.refresh_tree(state.tree);
-
-      // Reroute one two-path at a time with joint wire+buffer costs.
-      // The decomposition is recomputed from the live tree after every
-      // replacement: a reroute may share arcs with a not-yet-processed
-      // two-path, so ripping from a stale snapshot could sever it.
-      TileTreeEditor editor(state.tree, graph_);
-      route::RouteTree current = editor.rebuild();
-      std::vector<std::pair<tile::TileId, tile::TileId>> processed;
-      const std::size_t max_rips = 3 * current.two_paths().size() + 4;
-      for (std::size_t rip = 0; rip < max_rips; ++rip) {
-        const auto paths = current.two_paths();
-        const route::RouteTree::TwoPath* next = nullptr;
-        std::pair<tile::TileId, tile::TileId> key{tile::kNoTile,
-                                                  tile::kNoTile};
-        for (const auto& tp : paths) {
-          key = {current.node(tp.head).tile, current.node(tp.tail).tile};
-          if (std::find(processed.begin(), processed.end(), key) ==
-              processed.end()) {
-            next = &tp;
-            break;
-          }
-        }
-        if (next == nullptr) break;
-        processed.push_back(key);
-        std::vector<tile::TileId> interior;
-        interior.reserve(next->interior.size());
-        for (const route::NodeId n : next->interior) {
-          interior.push_back(current.node(n).tile);
-        }
-        editor.remove_path(key.first, interior, key.second);
-        const TwoPathRoute reroute = search.route(
-            key.second, key.first, L, wire_cache.values(), site_cost,
-            options_.stage4_wire_weight, options_.stage4_buffer_weight,
-            astar ? wire_cache.min_cost() : 0.0);
-        editor.add_path(reroute.tiles);
-        current = editor.rebuild();
-      }
-      state.tree = std::move(current);
-      state.tree.commit(graph_, width);
-      wire_cache.refresh_tree(state.tree);
-
-      // Re-insert buffers net-wide, exactly as in Stage 3.
-      buffer_net(i, {});
-      for (const route::BufferPlacement& b : state.buffers) {
-        const tile::TileId t = state.tree.node(b.node).tile;
-        site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-      }
+      if (nets_[i].tree.empty()) continue;
+      const auto id = static_cast<netlist::NetId>(i);
+      polish.polish(nets_[i], design_.length_limit(id),
+                    design_.net(id).width);
     }
   }
   refresh_delays();
   if (obs::counting()) {
     obs::gauge_max(obs::GaugeId::kEdgeCostCacheBytes,
                    wire_cache.memory_bytes());
-    obs::gauge_max(obs::GaugeId::kMazeScratchBytes, search.memory_bytes());
+    obs::gauge_max(obs::GaugeId::kMazeScratchBytes, polish.memory_bytes());
   }
   record_memory_gauges();
   StageStats stats = snapshot("4", seconds_since(start));

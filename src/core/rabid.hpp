@@ -14,6 +14,12 @@
 /// the tile graph's w(e)/b(v) books consistent at every step; stats()
 /// emits exactly the columns of Table II.
 ///
+/// Stages 2 and 4 aim their wavefronts with an admissible A* bound (the
+/// edge-cost cache's min_cost(), or a region shard's own floor): path
+/// costs equal blind Dijkstra's, only ties among equal-cost routes can
+/// differ.  Blind Dijkstra (astar_floor = 0) stays available on
+/// route::MazeRouter and TwoPathSearch as the tests' reference.
+///
 /// Per-net work runs serially in the paper's net order in every stage.
 /// The only intra-flow concurrency is Stage 2's region shards
 /// (RabidOptions::stage2_shards), whose solution is bit-identical at any
@@ -22,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -67,22 +72,9 @@ enum class Stage2Mode {
   kNegotiated,
 };
 
-/// Wavefront expansion order for the rerouting stages (2 and 4).
-enum class RouterHeuristic {
-  /// Blind Dijkstra expansion — the paper-faithful reference mode.
-  kDijkstra,
-  /// A*-guided expansion: an admissible Manhattan-distance x min-edge-
-  /// cost bound aims the wavefront at the remaining targets.  Path costs
-  /// are provably identical to kDijkstra (the bound never overestimates);
-  /// only tie-breaking among equal-cost routes can differ.
-  kAStar,
-};
-
 struct RabidOptions {
   double pd_alpha = 0.4;        ///< Prim-Dijkstra trade-off (footnote 5)
   Stage2Mode stage2_mode = Stage2Mode::kRipUpReroute;
-  /// Wavefront order for stages 2 and 4 (see RouterHeuristic).
-  RouterHeuristic router_heuristic = RouterHeuristic::kAStar;
   /// Dirty-net filtering for Stage-2 rip-up: after the first full Nair
   /// pass, an iteration only rips up nets that cross an overflowed edge
   /// or an edge whose eq. (1) cost moved by more than
@@ -338,11 +330,6 @@ class Rabid {
   void check_books() const;
 
  private:
-  /// Stage-3 core, shared with Stage 4's re-buffering: optimal buffers
-  /// for one net under eq. (2) costs with p(v) = `demand` (empty = 0);
-  /// updates books and the net state (core/buffer_commit.hpp).
-  void buffer_net(std::size_t index, std::span<const double> demand);
-
   /// Stage-1 construction for one net (PD/RSMT + embedding).  Pure:
   /// reads only the design and the graph's geometry, never its books.
   route::RouteTree build_net_tree(std::size_t index) const;

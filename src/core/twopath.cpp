@@ -92,7 +92,6 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     return (static_cast<std::size_t>(t) << shift) |
            static_cast<std::size_t>(j);
   };
-  auto seen = [&](std::size_t s) { return labels_[s].stamp == epoch_; };
   auto touch = [&](std::size_t s, double d, std::int32_t p) {
     labels_[s] = Label{d, p, epoch_};
   };

@@ -12,7 +12,7 @@
 
 #include "core/allocator.hpp"
 #include "core/buffer_commit.hpp"
-#include "core/twopath.hpp"
+#include "core/two_path_polish.hpp"
 #include "obs/counters.hpp"
 #include "timing/delay.hpp"
 #include "util/assert.hpp"
@@ -128,15 +128,7 @@ core::Status IncrementalPlanner::validate(const Perturbation& p) const {
 void IncrementalPlanner::rip_net(std::size_t i, route::EdgeCostCache& cache) {
   core::NetState& st = nets_[i];
   if (st.tree.empty()) return;
-  if (!st.buffers.empty()) {
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(st.buffers.size()));
-    for (const route::BufferPlacement& b : st.buffers) {
-      graph_.remove_buffer(st.tree.node(b.node).tile);
-    }
-    st.buffers.clear();
-    st.buffer_types.clear();
-  }
+  core::release_buffers(graph_, st);
   st.tree.uncommit(graph_,
                    design_.net(static_cast<netlist::NetId>(i)).width);
   cache.refresh_tree(st.tree);
@@ -153,71 +145,6 @@ void IncrementalPlanner::rebuffer_net(std::size_t i) {
   core::commit_net_buffers(
       graph_, st.tree, design_.length_limit(static_cast<netlist::NetId>(i)),
       options_.buffer_library, {}, core::BufferDp::kRelaxed, st);
-}
-
-void IncrementalPlanner::polish_net(std::size_t i,
-                                    route::EdgeCostCache& cache,
-                                    std::vector<double>& site_cost,
-                                    core::TwoPathSearch& search) {
-  core::NetState& st = nets_[i];
-  const auto id = static_cast<netlist::NetId>(i);
-  const std::int32_t L = design_.length_limit(id);
-  const std::int32_t width = design_.net(id).width;
-
-  obs::count(obs::Counter::kBuffersRemoved,
-             static_cast<std::uint64_t>(st.buffers.size()));
-  for (const route::BufferPlacement& b : st.buffers) {
-    const tile::TileId t = st.tree.node(b.node).tile;
-    graph_.remove_buffer(t);
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
-  st.buffers.clear();
-  st.buffer_types.clear();
-  st.tree.uncommit(graph_, width);
-  cache.refresh_tree(st.tree);
-
-  // One two-path at a time with joint wire+buffer costs, recomputing
-  // the decomposition from the live tree after every replacement —
-  // exactly the stage-4 inner loop.
-  core::TileTreeEditor editor(st.tree, graph_);
-  route::RouteTree current = editor.rebuild();
-  std::vector<std::pair<tile::TileId, tile::TileId>> processed;
-  const std::size_t max_rips = 3 * current.two_paths().size() + 4;
-  for (std::size_t rip = 0; rip < max_rips; ++rip) {
-    const auto paths = current.two_paths();
-    const route::RouteTree::TwoPath* next = nullptr;
-    std::pair<tile::TileId, tile::TileId> key{tile::kNoTile, tile::kNoTile};
-    for (const auto& tp : paths) {
-      key = {current.node(tp.head).tile, current.node(tp.tail).tile};
-      if (std::find(processed.begin(), processed.end(), key) ==
-          processed.end()) {
-        next = &tp;
-        break;
-      }
-    }
-    if (next == nullptr) break;
-    processed.push_back(key);
-    std::vector<tile::TileId> interior;
-    interior.reserve(next->interior.size());
-    for (const route::NodeId n : next->interior) {
-      interior.push_back(current.node(n).tile);
-    }
-    editor.remove_path(key.first, interior, key.second);
-    const core::TwoPathRoute reroute =
-        search.route(key.second, key.first, L, cache.values(), site_cost,
-                     1.0, 1.0, cache.min_cost());
-    editor.add_path(reroute.tiles);
-    current = editor.rebuild();
-  }
-  st.tree = std::move(current);
-  st.tree.commit(graph_, width);
-  cache.refresh_tree(st.tree);
-
-  rebuffer_net(i);
-  for (const route::BufferPlacement& b : st.buffers) {
-    const tile::TileId t = st.tree.node(b.node).tile;
-    site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-  }
 }
 
 void IncrementalPlanner::refresh_delay(std::size_t i) {
@@ -286,16 +213,9 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
       dirty[i] = 1;
       continue;
     }
-    bool hit = false;
-    for (const route::RouteNode& node : st.tree.nodes()) {
-      if (node.parent == route::kNoNode) continue;
-      const tile::EdgeId e =
-          graph_.edge_between(node.tile, st.tree.node(node.parent).tile);
-      if (edge_dirty[static_cast<std::size_t>(e)]) {
-        hit = true;
-        break;
-      }
-    }
+    bool hit = route::any_edge(st.tree, graph_, [&](tile::EdgeId e) {
+      return edge_dirty[static_cast<std::size_t>(e)] != 0;
+    });
     if (!hit && any_tile_over) {
       for (const route::BufferPlacement& b : st.buffers) {
         if (tile_over[static_cast<std::size_t>(st.tree.node(b.node).tile)]) {
@@ -367,27 +287,18 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
           if (dirty[i] || ((pass == 0) != (ever[i] != 0))) continue;
           const core::NetState& st = nets_[i];
           if (st.tree.empty()) continue;
-          bool rides = false;
-          for (const route::RouteNode& node : st.tree.nodes()) {
-            if (node.parent == route::kNoNode) continue;
-            const tile::EdgeId e = graph_.edge_between(
-                node.tile, st.tree.node(node.parent).tile);
-            if (excess[static_cast<std::size_t>(e)] > 0) {
-              rides = true;
-              break;
-            }
-          }
+          const bool rides =
+              route::any_edge(st.tree, graph_, [&](tile::EdgeId e) {
+                return excess[static_cast<std::size_t>(e)] > 0;
+              });
           if (!rides) continue;
           dirty[i] = 1;
           any_net = true;
           const std::int32_t width =
               design_.net(static_cast<netlist::NetId>(i)).width;
-          for (const route::RouteNode& node : st.tree.nodes()) {
-            if (node.parent == route::kNoNode) continue;
-            const tile::EdgeId e = graph_.edge_between(
-                node.tile, st.tree.node(node.parent).tile);
+          route::for_each_edge(st.tree, graph_, [&](tile::EdgeId e) {
             excess[static_cast<std::size_t>(e)] -= width;
-          }
+          });
         }
       }
       if (!any_net) break;
@@ -411,17 +322,15 @@ core::Status IncrementalPlanner::replan(const Perturbation& p,
     if (ever[i] && !nets_[i].tree.empty()) rebuffer_net(i);
   }
   if (options_.two_path_pass) {
+    // The batch stage-4 body, at the paper's 1:1 cost weights.
     cache.refresh_all();
-    std::vector<double> site_cost(
-        static_cast<std::size_t>(graph_.tile_count()));
-    for (tile::TileId t = 0; t < graph_.tile_count(); ++t) {
-      site_cost[static_cast<std::size_t>(t)] = graph_.buffer_cost(t, 0.0);
-    }
-    core::TwoPathSearch search(graph_);
+    core::TwoPathPolish polish(graph_, cache, options_.buffer_library, 1.0,
+                               1.0);
     for (std::size_t i = 0; i < nets_.size(); ++i) {
-      if (ever[i] && !nets_[i].tree.empty()) {
-        polish_net(i, cache, site_cost, search);
-      }
+      if (!ever[i] || nets_[i].tree.empty()) continue;
+      const auto id = static_cast<netlist::NetId>(i);
+      polish.polish(nets_[i], design_.length_limit(id),
+                    design_.net(id).width);
     }
   }
   for (std::size_t i = 0; i < nets_.size(); ++i) {

@@ -30,8 +30,8 @@
 ///      nudge would re-plan the whole chip; locality is the point).
 ///   4. Every re-planned net is re-buffered with the stage-3 DP
 ///      (demand p(v) = 0 — the batch prediction term is meaningless
-///      mid-ECO) and optionally polished with the stage-4 two-path
-///      pass, then its delays and length-rule flag are refreshed.
+///      mid-ECO) and optionally polished with the batch stage-4 body
+///      (core::TwoPathPolish), then its delays are refreshed.
 ///
 /// Untouched nets keep their trees, buffers, and delays bit-for-bit;
 /// the books stay exactly consistent at every step (audit() proves it).
@@ -51,10 +51,6 @@
 #include "route/maze.hpp"
 #include "tile/tile_graph.hpp"
 #include "timing/tech.hpp"
-
-namespace rabid::core {
-class TwoPathSearch;  // core/twopath.hpp
-}  // namespace rabid::core
 
 namespace rabid::eco {
 
@@ -161,9 +157,6 @@ class IncrementalPlanner {
   /// Stage-3 buffering for net i at p(v) = 0, with the same
   /// forbidden-tile retry commit loop the batch flow uses.
   void rebuffer_net(std::size_t i);
-  /// Stage-4 two-path polish for net i (buffers must be committed).
-  void polish_net(std::size_t i, route::EdgeCostCache& cache,
-                  std::vector<double>& site_cost, core::TwoPathSearch& search);
   void refresh_delay(std::size_t i);
 
   netlist::Design design_;

@@ -86,13 +86,10 @@ bool StreamPlanner::try_plan(netlist::NetId id) {
   // from full edges, but only choose an overflowing arc when no free
   // path exists — in a stream that means "does not fit", not "fix it
   // next iteration".
-  for (const route::RouteNode& node : tree.nodes()) {
-    if (node.parent == route::kNoNode) continue;
-    const tile::EdgeId e =
-        graph_.edge_between(node.tile, tree.node(node.parent).tile);
-    if (graph_.wire_usage(e) + net.width > graph_.wire_capacity(e)) {
-      return false;
-    }
+  if (route::any_edge(tree, graph_, [&](tile::EdgeId e) {
+        return graph_.wire_usage(e) + net.width > graph_.wire_capacity(e);
+      })) {
+    return false;
   }
   tree.commit(graph_, net.width);
   cache_.refresh_tree(tree);
@@ -135,13 +132,7 @@ core::Status StreamPlanner::remove_net(netlist::NetId id) {
   }
 
   core::NetState& st = nets_[static_cast<std::size_t>(id)];
-  if (!st.buffers.empty()) {
-    obs::count(obs::Counter::kBuffersRemoved,
-               static_cast<std::uint64_t>(st.buffers.size()));
-    for (const route::BufferPlacement& b : st.buffers) {
-      graph_.remove_buffer(st.tree.node(b.node).tile);
-    }
-  }
+  core::release_buffers(graph_, st);
   st.tree.uncommit(graph_, design_.net(id).width);
   cache_.refresh_tree(st.tree);
   st = core::NetState{};

@@ -131,12 +131,9 @@ void McfAllocator::run_phase(util::ThreadPool* pool) {
     const auto id = static_cast<netlist::NetId>(i);
     OracleResult& r = results[i];
     const std::int32_t width = design_.net(id).width;
-    for (const route::RouteNode& node : r.tree.nodes()) {
-      if (node.parent == route::kNoNode) continue;
-      const tile::EdgeId e =
-          graph_.edge_between(node.tile, r.tree.node(node.parent).tile);
+    route::for_each_edge(r.tree, graph_, [&](tile::EdgeId e) {
       use_w[static_cast<std::size_t>(e)] += width;
-    }
+    });
     for (const route::BufferPlacement& b : r.insertion.buffers) {
       use_b[static_cast<std::size_t>(r.tree.node(b.node).tile)] += 1;
     }
@@ -185,11 +182,10 @@ void McfAllocator::run_phase(util::ThreadPool* pool) {
 
 bool McfAllocator::fits(const netlist::NetId id, const Candidate& cand) const {
   const std::int32_t width = design_.net(id).width;
-  for (const route::RouteNode& node : cand.tree.nodes()) {
-    if (node.parent == route::kNoNode) continue;
-    const tile::EdgeId e =
-        graph_.edge_between(node.tile, cand.tree.node(node.parent).tile);
-    if (graph_.wire_usage(e) + width > graph_.wire_capacity(e)) return false;
+  if (route::any_edge(cand.tree, graph_, [&](tile::EdgeId e) {
+        return graph_.wire_usage(e) + width > graph_.wire_capacity(e);
+      })) {
+    return false;
   }
   for (const auto& [t, need] : core::buffers_per_tile(cand.tree, cand.buffers)) {
     if (graph_.site_usage(t) + need > graph_.site_supply(t)) return false;
@@ -233,18 +229,13 @@ void McfAllocator::route_fallback(netlist::NetId id,
                            core::BufferDp::kRelaxed, state);
 }
 
-void McfAllocator::refresh_delays(util::ThreadPool* pool) {
-  const auto refresh_one = [this](std::size_t i) {
+void McfAllocator::refresh_delays() {
+  for (std::size_t i = 0; i < nets_.size(); ++i) {
     core::NetState& n = nets_[i];
-    if (n.tree.empty()) return;
+    if (n.tree.empty()) continue;
     n.delay = core::net_delay(
         n, graph_, options_.tech,
         design_.net(static_cast<netlist::NetId>(i)).width);
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, nets_.size(), refresh_one);
-  } else {
-    for (std::size_t i = 0; i < nets_.size(); ++i) refresh_one(i);
   }
 }
 
@@ -312,7 +303,7 @@ std::vector<core::StageStats> McfAllocator::plan() {
       route_fallback(id, router, cache);
     }
   }
-  refresh_delays(pool.get());
+  refresh_delays();
   history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-round", seconds_since(start), threads()));
 
@@ -334,31 +325,19 @@ std::vector<core::StageStats> McfAllocator::plan() {
       const auto id = static_cast<netlist::NetId>(i);
       core::NetState& state = nets_[i];
       if (state.tree.empty()) continue;
-      bool crosses = false;
-      for (const route::RouteNode& node : state.tree.nodes()) {
-        if (node.parent == route::kNoNode) continue;
-        const tile::EdgeId e = graph_.edge_between(
-            node.tile, state.tree.node(node.parent).tile);
-        if (over[static_cast<std::size_t>(e)] != 0) {
-          crosses = true;
-          break;
-        }
-      }
+      const bool crosses =
+          route::any_edge(state.tree, graph_, [&](tile::EdgeId e) {
+            return over[static_cast<std::size_t>(e)] != 0;
+          });
       if (!crosses) continue;
       obs::count(obs::Counter::kMcfRepairReroutes);
       state.tree.uncommit(graph_, design_.net(id).width);
-      obs::count(obs::Counter::kBuffersRemoved,
-                 static_cast<std::uint64_t>(state.buffers.size()));
-      for (const route::BufferPlacement& b : state.buffers) {
-        graph_.remove_buffer(state.tree.node(b.node).tile);
-      }
+      core::release_buffers(graph_, state);
       cache.refresh_tree(state.tree);
-      state.buffers.clear();
-      state.buffer_types.clear();
       route_fallback(id, router, cache);
     }
   }
-  refresh_delays(pool.get());
+  refresh_delays();
   history_.push_back(core::solution_snapshot(
       graph_, nets_, "mcf-repair", seconds_since(repair_start), threads()));
 

@@ -28,8 +28,9 @@
 /// Phase updates are Jacobi-style — all oracle calls in a phase read the
 /// same frozen snapshot — so step 2 parallelizes over fixed-size net
 /// blocks on the ThreadPool with bit-identical results at any thread
-/// count (same contract as stages 1-3: parallel work into pre-sized
-/// slots, serial merges in net order, integer usage accumulation).
+/// count (parallel work into pre-sized slots, serial merges in net
+/// order, integer usage accumulation).  The oracle blocks are the only
+/// work the pool runs.
 ///
 /// Rounding draws each net's candidate with probability count/P from a
 /// per-net PCG32 stream (seeded by net id — thread-count independent),
@@ -119,8 +120,9 @@ class McfAllocator final : public core::Allocator {
   /// fits (or during repair); commits and installs the result.
   void route_fallback(netlist::NetId id, route::MazeRouter& router,
                       route::EdgeCostCache& cache);
-  /// Parallel width-scaled Elmore refresh of every net's delay.
-  void refresh_delays(util::ThreadPool* pool);
+  /// Width-scaled Elmore refresh of every net's delay, serial: the pool
+  /// costs more than it saves on this per-net loop.
+  void refresh_delays();
 
   const netlist::Design& design_;
   tile::TileGraph& graph_;

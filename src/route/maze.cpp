@@ -59,22 +59,17 @@ void EdgeCostCache::on_capacity_change(tile::EdgeId e) {
 }
 
 void EdgeCostCache::refresh_tree(const RouteTree& tree) {
-  for (const RouteNode& n : tree.nodes()) {
-    if (n.parent == kNoNode) continue;
-    refresh_edge(g_.edge_between(n.tile, tree.node(n.parent).tile));
-  }
+  for_each_edge(tree, g_, [this](tile::EdgeId e) { refresh_edge(e); });
 }
 
 void EdgeCostCache::refresh_tree_sharded(const RouteTree& tree,
                                          double& floor) {
   obs::count(obs::Counter::kEdgeCacheInvalidations, tree.node_count() - 1);
-  for (const RouteNode& n : tree.nodes()) {
-    if (n.parent == kNoNode) continue;
-    const tile::EdgeId e = g_.edge_between(n.tile, tree.node(n.parent).tile);
+  for_each_edge(tree, g_, [&](tile::EdgeId e) {
     const double c = base_(e);
     values_[static_cast<std::size_t>(e)] = c;
     if (c < floor) floor = c;
-  }
+  });
 }
 
 double EdgeCostCache::min_over(std::span<const tile::EdgeId> edges) const {

@@ -77,14 +77,11 @@ std::int32_t RouteTree::depth(NodeId n) const {
 void RouteTree::commit(tile::TileGraph& g, std::int32_t width) const {
   RABID_ASSERT(width >= 1);
   std::uint64_t arcs = 0;
-  for (const RouteNode& n : nodes_) {
-    if (n.parent == kNoNode) continue;
-    const tile::EdgeId e = g.edge_between(
-        n.tile, nodes_[static_cast<std::size_t>(n.parent)].tile);
+  for_each_edge(*this, g, [&](tile::EdgeId e) {
     RABID_ASSERT_MSG(e != tile::kNoEdge, "route arc not tile-adjacent");
     for (std::int32_t k = 0; k < width; ++k) g.add_wire(e);
     ++arcs;
-  }
+  });
   obs::count(obs::Counter::kWireUnitsCommitted,
              arcs * static_cast<std::uint64_t>(width));
 }
@@ -92,14 +89,11 @@ void RouteTree::commit(tile::TileGraph& g, std::int32_t width) const {
 void RouteTree::uncommit(tile::TileGraph& g, std::int32_t width) const {
   RABID_ASSERT(width >= 1);
   std::uint64_t arcs = 0;
-  for (const RouteNode& n : nodes_) {
-    if (n.parent == kNoNode) continue;
-    const tile::EdgeId e = g.edge_between(
-        n.tile, nodes_[static_cast<std::size_t>(n.parent)].tile);
+  for_each_edge(*this, g, [&](tile::EdgeId e) {
     RABID_ASSERT(e != tile::kNoEdge);
     for (std::int32_t k = 0; k < width; ++k) g.remove_wire(e);
     ++arcs;
-  }
+  });
   obs::count(obs::Counter::kWireUnitsRemoved,
              arcs * static_cast<std::uint64_t>(width));
 }

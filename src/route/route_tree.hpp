@@ -112,4 +112,33 @@ class RouteTree {
   std::vector<std::pair<tile::TileId, NodeId>> by_tile_;  // sorted by tile
 };
 
+/// The tree-edge walk every planner shares: calls `pred(e)` with the
+/// tile-graph edge under each arc, in node order, and returns true at
+/// the first call that returns true (false once every arc is seen).
+/// Inline rather than a std::function because Stage 2 runs it over
+/// every net each iteration.
+template <class Pred>
+inline bool any_edge(const RouteTree& tree, const tile::TileGraph& g,
+                     Pred&& pred) {
+  const std::vector<RouteNode>& nodes = tree.nodes();
+  for (const RouteNode& n : nodes) {
+    if (n.parent == kNoNode) continue;
+    if (pred(g.edge_between(
+            n.tile, nodes[static_cast<std::size_t>(n.parent)].tile))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// any_edge without the early exit: `fn(e)` for every arc's edge.
+template <class Fn>
+inline void for_each_edge(const RouteTree& tree, const tile::TileGraph& g,
+                          Fn&& fn) {
+  any_edge(tree, g, [&fn](tile::EdgeId e) {
+    fn(e);
+    return false;
+  });
+}
+
 }  // namespace rabid::route

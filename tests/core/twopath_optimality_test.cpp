@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/twopath.hpp"
 #include "route/maze.hpp"
@@ -83,6 +85,16 @@ TEST_P(TwoPathOptimality, DijkstraMatchesValueIteration) {
   const buffer::TileCostFn site = [&](tile::TileId t) {
     return qv[static_cast<std::size_t>(t)];
   };
+  // The A*-field search stages 2 and 4 run, on flat cost arrays with the
+  // minimum wire cost as its floor, must meet the same oracle.
+  std::vector<double> wires(static_cast<std::size_t>(g.edge_count()));
+  double floor = std::numeric_limits<double>::infinity();
+  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
+    wires[static_cast<std::size_t>(e)] = wire(e);
+    floor = std::min(floor, wire(e));
+  }
+  ASSERT_GT(floor, 0.0);
+  TwoPathSearch search(g);
 
   for (int probe = 0; probe < 6; ++probe) {
     const auto a =
@@ -90,13 +102,19 @@ TEST_P(TwoPathOptimality, DijkstraMatchesValueIteration) {
     const auto b =
         static_cast<tile::TileId>(rng.uniform_int(0, g.tile_count() - 1));
     const auto L = static_cast<std::int32_t>(rng.uniform_int(2, 5));
-    const TwoPathRoute got = route_two_path(g, a, b, L, wire, site);
     const double want = brute_force_two_path(g, a, b, L, wire, site);
-    if (std::isinf(want)) {
-      EXPECT_TRUE(std::isinf(got.cost));
-    } else {
-      EXPECT_NEAR(got.cost, want, 1e-9)
-          << "seed=" << GetParam() << " a=" << a << " b=" << b << " L=" << L;
+    for (const double astar_floor : {0.0, floor}) {
+      const TwoPathRoute got =
+          astar_floor > 0.0
+              ? search.route(a, b, L, wires, qv, 1.0, 1.0, astar_floor)
+              : route_two_path(g, a, b, L, wire, site);
+      if (std::isinf(want)) {
+        EXPECT_TRUE(std::isinf(got.cost));
+      } else {
+        EXPECT_NEAR(got.cost, want, 1e-9)
+            << "seed=" << GetParam() << " a=" << a << " b=" << b
+            << " L=" << L << " floor=" << astar_floor;
+      }
     }
   }
 }

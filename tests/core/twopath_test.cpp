@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 
+#include "buffer/library.hpp"
+#include "core/two_path_polish.hpp"
 #include "route/maze.hpp"
 
 namespace rabid::core {
@@ -161,6 +163,62 @@ TEST(TileTreeEditor, CollapsedTwoPathLeavesValidTree) {
   r.verify(g);
   EXPECT_EQ(r.wirelength_tiles(), t.wirelength_tiles());
   EXPECT_EQ(r.total_sinks(), 2);
+}
+
+/// The stage-4 capacity guard.  A row-0 net of four arcs needs a buffer
+/// for the two-path search's (tile x L) rule at L = 4, and its only
+/// buffer site sits on row 1 behind zero-capacity vertical edges, so
+/// every L-feasible reconnection overflows.  The search still returns
+/// one (a full edge costs the finite kOverflowPenalty): other nets' wires
+/// make row 0 dearer than row 1, so it is the all-row-1 detour, not a
+/// stub up to the site and back.  The polish must put the ripped path
+/// back.
+TEST(TwoPathPolish, KeepsRippedPathWhenEveryFeasibleReconnectionOverflows) {
+  tile::TileGraph g(geom::Rect{{0, 0}, {500, 200}}, 5, 2);
+  g.set_uniform_wire_capacity(4);
+  for (std::int32_t x = 0; x < 5; ++x) {
+    g.set_wire_capacity(g.edge_between(g.id_of({x, 0}), g.id_of({x, 1})), 0);
+  }
+  for (std::int32_t x = 0; x + 1 < 5; ++x) {
+    const tile::EdgeId e = g.edge_between(g.id_of({x, 0}), g.id_of({x + 1, 0}));
+    g.add_wire(e);
+    g.add_wire(e);
+  }
+  g.set_site_supply(g.id_of({2, 1}), 1);
+  route::EdgeCostCache cache(
+      g, [&](tile::EdgeId e) { return route::soft_wire_cost(g, e); });
+  std::vector<double> sites(static_cast<std::size_t>(g.tile_count()));
+  for (tile::TileId t = 0; t < g.tile_count(); ++t) {
+    sites[static_cast<std::size_t>(t)] = g.buffer_cost(t, 0.0);
+  }
+  const TwoPathRoute detour = route_two_path(
+      g, g.id_of({4, 0}), g.id_of({0, 0}), /*L=*/4, cache.values(), sites);
+  ASSERT_TRUE(std::isfinite(detour.cost));
+  ASSERT_GE(detour.cost, route::kOverflowPenalty);
+
+  NetState net;
+  net.tree = route::RouteTree(g.id_of({0, 0}));
+  route::NodeId n = net.tree.root();
+  for (std::int32_t x = 1; x < 5; ++x) {
+    n = net.tree.add_child(n, g.id_of({x, 0}));
+  }
+  net.tree.add_sink(n);
+  net.tree.commit(g);
+  cache.refresh_tree(net.tree);
+
+  const buffer::BufferLibrary library;
+  TwoPathPolish polish(g, cache, library, 1.0, 1.0);
+  polish.polish(net, /*L=*/4, /*width=*/1);
+
+  for (tile::EdgeId e = 0; e < g.edge_count(); ++e) {
+    EXPECT_LE(g.wire_usage(e), g.wire_capacity(e)) << "edge " << e;
+  }
+  ASSERT_EQ(net.tree.node_count(), 5U);
+  for (std::int32_t x = 0; x < 5; ++x) {
+    EXPECT_TRUE(net.tree.contains(g.id_of({x, 0}))) << "x=" << x;
+  }
+  EXPECT_EQ(net.tree.total_sinks(), 1);
+  EXPECT_TRUE(net.buffers.empty());  // no site on row 0
 }
 
 }  // namespace

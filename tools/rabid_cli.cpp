@@ -25,8 +25,6 @@
 //   --sites N          override the buffer-site count (default: Table I)
 //   --no-blocked       disable the 9x9 blocked cache region
 //   --post             enable the congestion post-pass after stage 2
-//   --dijkstra         blind Dijkstra wavefronts in stages 2/4 (the
-//                      paper-faithful reference; default is A* targeting)
 //   --no-dirty-filter  stage 2 reroutes every net every iteration
 //                      instead of only nets whose congestion moved
 //   --stage2-shards K  region-sharded stage 2: KxK regions, region-local
@@ -113,7 +111,6 @@ struct Args {
   std::int64_t sites = -1;
   bool no_blocked = false;
   bool post = false;
-  bool dijkstra = false;
   bool no_dirty_filter = false;
   std::int32_t stage2_shards = 0;
   int stages = 4;
@@ -146,7 +143,7 @@ struct Args {
   std::fprintf(stderr,
                "usage: rabid_cli --circuit NAME [--threads N] [--grid NxM]\n"
                "       [--sites N] [--no-blocked] [--post] [--vg K]\n"
-               "       [--dijkstra] [--no-dirty-filter] [--stage2-shards K]\n"
+               "       [--no-dirty-filter] [--stage2-shards K]\n"
                "       [--stages N] [--checkpoint-every-nets N]\n"
                "       [--inverters] [--audit] [--audit-json F]\n"
                "       [--obs off|counters|trace] [--report F] [--trace F]\n"
@@ -190,8 +187,6 @@ Args parse(int argc, char** argv) {
       a.no_blocked = true;
     } else if (flag == "--post") {
       a.post = true;
-    } else if (flag == "--dijkstra") {
-      a.dijkstra = true;
     } else if (flag == "--no-dirty-filter") {
       a.no_dirty_filter = true;
     } else if (flag == "--stage2-shards") {
@@ -283,7 +278,7 @@ Args parse(int argc, char** argv) {
   // the library layer, as exit-code-3 input errors).
   if (a.backend != rabid::core::Backend::kRabid &&
       (a.resume || !a.checkpoint_dir.empty() || a.deadline_ms > 0 ||
-       a.post || a.dijkstra || a.no_dirty_filter || a.stage2_shards > 0 ||
+       a.post || a.no_dirty_filter || a.stage2_shards > 0 ||
        a.stages != 4 || a.vg > 0 || a.eco))
     usage("stage/checkpoint/deadline flags apply to --backend rabid only");
   // The ECO adopts the finished four-stage solution; a partial flow
@@ -432,8 +427,6 @@ int main(int argc, char** argv) {
     options.threads = args.threads;
     options.obs_level = args.obs_level;
     options.congestion_post_after_stage2 = args.post;
-    if (args.dijkstra)
-      options.router_heuristic = core::RouterHeuristic::kDijkstra;
     options.stage2_dirty_filter = !args.no_dirty_filter;
     options.stage2_shards = args.stage2_shards;
     if (args.audit) options.audit_level = core::AuditLevel::kPerStage;

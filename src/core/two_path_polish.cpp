@@ -18,6 +18,7 @@ TwoPathPolish::TwoPathPolish(tile::TileGraph& graph,
       wire_weight_(wire_weight),
       buffer_weight_(buffer_weight),
       search_(graph),
+      editor_(graph),
       site_cost_(static_cast<std::size_t>(graph.tile_count())) {
   for (tile::TileId t = 0; t < graph.tile_count(); ++t) {
     site_cost_[static_cast<std::size_t>(t)] = graph.buffer_cost(t, 0.0);
@@ -49,8 +50,8 @@ void TwoPathPolish::polish(NetState& state, std::int32_t L,
     return false;
   };
 
-  TileTreeEditor editor(state.tree, graph_);
-  route::RouteTree current = editor.rebuild();
+  editor_.reset(state.tree);
+  route::RouteTree current = editor_.rebuild();
   std::vector<std::pair<tile::TileId, tile::TileId>> processed;
   const std::size_t max_rips = 3 * current.two_paths().size() + 4;
   for (std::size_t rip = 0; rip < max_rips; ++rip) {
@@ -75,14 +76,14 @@ void TwoPathPolish::polish(NetState& state, std::int32_t L,
       ripped.push_back(current.node(n).tile);
     }
     ripped.push_back(key.second);
-    editor.remove_path(key.first,
-                       std::span(ripped).subspan(1, ripped.size() - 2),
-                       key.second);
+    editor_.remove_path(key.first,
+                        std::span(ripped).subspan(1, ripped.size() - 2),
+                        key.second);
     const TwoPathRoute reroute = search_.route(
         key.second, key.first, L, wire_cost_.values(), site_cost_,
         wire_weight_, buffer_weight_, wire_cost_.min_cost());
-    editor.add_path(overflows(reroute.tiles) ? ripped : reroute.tiles);
-    current = editor.rebuild();
+    editor_.add_path(overflows(reroute.tiles) ? ripped : reroute.tiles);
+    current = editor_.rebuild();
   }
   state.tree = std::move(current);
   state.tree.commit(graph_, width);

@@ -39,8 +39,10 @@ class TwoPathPolish {
   /// route::kOverflowPenalty, so it wins when no free path is L-feasible.
   void polish(NetState& state, std::int32_t L, std::int32_t width);
 
-  /// Bytes held by the (tile x L) search scratch.
-  std::uint64_t memory_bytes() const { return search_.memory_bytes(); }
+  /// Bytes held by the (tile x L) search scratch and the tree editor.
+  std::uint64_t memory_bytes() const {
+    return search_.memory_bytes() + editor_.memory_bytes();
+  }
 
  private:
   /// Re-reads q(v) on every tile of `tree`, where its buffers sit.
@@ -54,6 +56,8 @@ class TwoPathPolish {
   /// One search for every two-path of every net: its stamped scratch
   /// warms up once, and later searches touch only visited states.
   TwoPathSearch search_;
+  /// One editor for every net: reset() per net, O(tree) (twopath.hpp).
+  TileTreeEditor editor_;
   std::vector<double> site_cost_;  ///< q(v) at p(v) = 0, per tile
 };
 

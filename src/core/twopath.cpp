@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "obs/counters.hpp"
 #include "util/assert.hpp"
@@ -45,6 +44,7 @@ double TwoPathSearch::field_settle(tile::TileId t,
   while (field_[ti].settled != epoch_) {
     RABID_ASSERT_MSG(!field_heap_.empty(), "heuristic field ran dry");
     const FieldEntry top = field_heap_.pop();
+    ++field_pops_;
     const auto ui = static_cast<std::size_t>(top.t);
     if (field_[ui].settled == epoch_) continue;  // stale heap entry
     field_[ui].settled = epoch_;
@@ -122,6 +122,7 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
   // (tile x L) heap work, flushed to the registry once per search.
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
+  field_pops_ = 0;
 
   // Start at the tail with j = 0 (the tail end is an anchor; the exact
   // downstream slack is re-established by the net-wide re-buffering).
@@ -130,6 +131,19 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
   heap_push({h_of(from), 0.0, start});
   ++pushes;
 
+  // j-dominance: (t, j) at cost d is dominated when a same-tile label
+  // of this epoch with a shorter run j' < j already costs <= d — every
+  // extension of (t, j) is feasible from (t, j') at no more cost (see
+  // the class comment).  The tile's labels share one row, so the scan
+  // reads one or two cache lines.
+  const auto dominated = [&](std::size_t s, std::size_t j, double d) {
+    for (std::size_t row = s - j; row < s; ++row) {
+      const Label& l = labels_[row];
+      if (l.stamp == epoch_ && l.dist <= d) return true;
+    }
+    return false;
+  };
+
   // The heuristic is evaluated only when a relaxation actually improves
   // a label: h(t) is a fixed value per tile (the exact wire field), so
   // skipping it for rejected relaxations cannot change any pushed key —
@@ -137,7 +151,7 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
   auto relax = [&](std::size_t s, double d, std::size_t from_state,
                    tile::TileId t) {
     Label& lbl = labels_[s];
-    if (lbl.stamp != epoch_ || d < lbl.dist) {
+    if ((lbl.stamp != epoch_ || d < lbl.dist) && !dominated(s, s & jmask, d)) {
       lbl = Label{d, static_cast<std::int32_t>(from_state), epoch_};
       heap_push({d + h_of(t), d, s});
       ++pushes;
@@ -156,6 +170,8 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
       goal = s;
       break;
     }
+    // A label dominated since it was pushed has nothing left to add.
+    if (dominated(s, static_cast<std::size_t>(j), top.d)) continue;
     // Buffer here: pay q(t), reset the run length.
     if (j > 0) {
       const double q = buffer_cost[static_cast<std::size_t>(t)];
@@ -180,6 +196,7 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     obs::count(obs::Counter::kTwoPathSearches);
     obs::count(obs::Counter::kTwoPathHeapPushes, pushes);
     obs::count(obs::Counter::kTwoPathHeapPops, pops);
+    obs::count(obs::Counter::kTwoPathFieldPops, field_pops_);
     obs::count(obs::Counter::kHeapRegrows,
                heap_.take_regrows() + field_heap_.take_regrows());
   }
@@ -240,37 +257,59 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
                         buffer_weight, /*astar_floor=*/0.0);
 }
 
-TileTreeEditor::TileTreeEditor(const route::RouteTree& tree,
-                               const tile::TileGraph& g)
-    : g_(g),
-      source_(tree.node(tree.root()).tile),
-      sink_multiplicity_(static_cast<std::size_t>(g.tile_count()), 0),
-      adj_(static_cast<std::size_t>(g.tile_count())) {
+TileTreeEditor::TileTreeEditor(const tile::TileGraph& g)
+    : g_(g), tiles_(static_cast<std::size_t>(g.tile_count())) {}
+
+TileTreeEditor::TileArcs& TileTreeEditor::live(tile::TileId t) {
+  TileArcs& a = tiles_[static_cast<std::size_t>(t)];
+  if (a.epoch != epoch_) {
+    a.epoch = epoch_;
+    a.sinks = 0;
+    a.degree = 0;
+  }
+  return a;
+}
+
+void TileTreeEditor::reset(const route::RouteTree& tree) {
+  ++epoch_;
+  source_ = tree.node(tree.root()).tile;
+  sink_tiles_.clear();
   for (const route::RouteNode& n : tree.nodes()) {
     if (n.parent != route::kNoNode) {
       add_arc(n.tile, tree.node(n.parent).tile);
     }
     if (n.sink_count > 0) {
-      sink_multiplicity_[static_cast<std::size_t>(n.tile)] += n.sink_count;
+      TileArcs& a = live(n.tile);
+      if (a.sinks == 0) sink_tiles_.push_back(n.tile);
+      a.sinks += n.sink_count;
     }
   }
 }
 
 void TileTreeEditor::add_arc(tile::TileId a, tile::TileId b) {
   RABID_ASSERT(g_.edge_between(a, b) != tile::kNoEdge);
-  auto& na = adj_[static_cast<std::size_t>(a)];
-  if (std::find(na.begin(), na.end(), b) != na.end()) return;  // already
-  na.push_back(b);
-  adj_[static_cast<std::size_t>(b)].push_back(a);
+  TileArcs& na = live(a);
+  const auto end = na.nbr.begin() + na.degree;
+  if (std::find(na.nbr.begin(), end, b) != end) return;  // already
+  TileArcs& nb = live(b);
+  RABID_ASSERT(na.degree < 4 && nb.degree < 4);
+  na.nbr[static_cast<std::size_t>(na.degree++)] = b;
+  nb.nbr[static_cast<std::size_t>(nb.degree++)] = a;
 }
 
 void TileTreeEditor::remove_arc(tile::TileId a, tile::TileId b) {
-  auto& na = adj_[static_cast<std::size_t>(a)];
-  const auto ia = std::find(na.begin(), na.end(), b);
-  if (ia == na.end()) return;
-  na.erase(ia);
-  auto& nb = adj_[static_cast<std::size_t>(b)];
-  nb.erase(std::find(nb.begin(), nb.end(), a));
+  // Erase in place, keeping the survivors' insertion order.
+  const auto erase = [](TileArcs& arcs, tile::TileId v) {
+    const auto end = arcs.nbr.begin() + arcs.degree;
+    const auto it = std::find(arcs.nbr.begin(), end, v);
+    if (it == end) return false;
+    std::copy(it + 1, end, it);
+    --arcs.degree;
+    return true;
+  };
+  TileArcs& na = live(a);
+  if (!erase(na, b)) return;
+  erase(live(b), a);
 }
 
 void TileTreeEditor::remove_path(tile::TileId head,
@@ -291,72 +330,70 @@ void TileTreeEditor::add_path(std::span<const tile::TileId> tiles) {
 }
 
 bool TileTreeEditor::in_tree(tile::TileId t) const {
-  return t == source_ || sink_multiplicity_[static_cast<std::size_t>(t)] > 0 ||
-         !adj_[static_cast<std::size_t>(t)].empty();
+  if (t == source_) return true;
+  const TileArcs* a = find(t);
+  return a != nullptr && (a->sinks > 0 || a->degree > 0);
 }
 
 route::RouteTree TileTreeEditor::rebuild(
-    const std::function<bool(tile::TileId)>& keep) const {
-  route::RouteTree tree(source_);
-  // BFS from the source; arcs closing a cycle are dropped.
-  std::queue<tile::TileId> frontier;
-  frontier.push(source_);
-  while (!frontier.empty()) {
-    const tile::TileId u = frontier.front();
-    frontier.pop();
-    const route::NodeId un = tree.node_at(u);
-    for (const tile::TileId v : adj_[static_cast<std::size_t>(u)]) {
-      if (tree.contains(v)) continue;
-      tree.add_child(un, v);
-      frontier.push(v);
+    const std::function<bool(tile::TileId)>& keep) {
+  // BFS from the source; arcs closing a cycle are dropped.  order_ is
+  // both the queue and the node numbering (discovery order).
+  ++visit_;
+  order_.clear();
+  parent_.clear();
+  const auto discover = [&](tile::TileId t, std::int32_t parent) {
+    tiles_[static_cast<std::size_t>(t)].visit = visit_;
+    order_.push_back(t);
+    parent_.push_back(parent);
+  };
+  discover(source_, -1);
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const TileArcs* a = find(order_[i]);
+    if (a == nullptr) continue;
+    for (std::int32_t k = 0; k < a->degree; ++k) {
+      const tile::TileId v = a->nbr[static_cast<std::size_t>(k)];
+      if (tiles_[static_cast<std::size_t>(v)].visit == visit_) continue;
+      discover(v, static_cast<std::int32_t>(i));
     }
   }
-
-  // Attach sinks, then prune useless leaves bottom-up.  Pruning works on
-  // a keep-set, then the tree is reassembled (RouteTree is append-only).
-  const std::size_t n = tree.node_count();
-  std::vector<std::int32_t> sinks_at(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const tile::TileId t = tree.node(static_cast<route::NodeId>(i)).tile;
-    sinks_at[i] = sink_multiplicity_[static_cast<std::size_t>(t)];
-  }
-  for (std::size_t t = 0; t < sink_multiplicity_.size(); ++t) {
-    RABID_ASSERT_MSG(sink_multiplicity_[t] == 0 ||
-                         tree.contains(static_cast<tile::TileId>(t)),
+  for (const tile::TileId t : sink_tiles_) {
+    RABID_ASSERT_MSG(tiles_[static_cast<std::size_t>(t)].visit == visit_,
                      "rebuild lost a sink tile");
   }
 
-  std::vector<bool> kept(n, false);
-  std::vector<std::int32_t> live_children(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    live_children[i] = static_cast<std::int32_t>(
-        tree.node(static_cast<route::NodeId>(i)).children.size());
+  // Prune useless leaves bottom-up: reverse discovery order visits
+  // children first.  Then reassemble (RouteTree is append-only).
+  const std::size_t n = order_.size();
+  const auto sinks_at = [&](std::size_t i) {
+    const TileArcs* a = find(order_[i]);
+    return a == nullptr ? 0 : a->sinks;
+  };
+  live_children_.assign(n, 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    ++live_children_[static_cast<std::size_t>(parent_[i])];
   }
-  // Reverse index order == children first.
-  for (std::size_t i = n; i-- > 0;) {
-    const auto v = static_cast<route::NodeId>(i);
-    kept[i] = sinks_at[i] > 0 || live_children[i] > 0 || v == tree.root() ||
-              (keep && keep(tree.node(v).tile));
-    if (!kept[i]) {
-      const route::NodeId p = tree.node(v).parent;
-      --live_children[static_cast<std::size_t>(p)];
+  // live_children_[i] < 0 marks a pruned node.
+  for (std::size_t i = n; i-- > 1;) {
+    const bool kept = sinks_at(i) > 0 || live_children_[i] > 0 ||
+                      (keep && keep(order_[i]));
+    if (!kept) {
+      live_children_[i] = -1;
+      --live_children_[static_cast<std::size_t>(parent_[i])];
     }
   }
 
   route::RouteTree pruned(source_);
-  std::vector<route::NodeId> remap(n, route::kNoNode);
-  remap[0] = pruned.root();
+  remap_.assign(n, route::kNoNode);
+  remap_[0] = pruned.root();
   for (std::size_t i = 1; i < n; ++i) {
-    if (!kept[i]) continue;
-    const route::RouteNode& node = tree.node(static_cast<route::NodeId>(i));
-    const route::NodeId p = remap[static_cast<std::size_t>(node.parent)];
+    if (live_children_[i] < 0) continue;
+    const route::NodeId p = remap_[static_cast<std::size_t>(parent_[i])];
     RABID_ASSERT(p != route::kNoNode);
-    remap[i] = pruned.add_child(p, node.tile);
+    remap_[i] = pruned.add_child(p, order_[i]);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::int32_t s = 0; s < sinks_at[i]; ++s) {
-      pruned.add_sink(remap[i]);
-    }
+    for (std::int32_t s = sinks_at(i); s > 0; --s) pruned.add_sink(remap_[i]);
   }
   return pruned;
 }

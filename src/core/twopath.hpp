@@ -15,6 +15,7 @@
 /// the same); the search only has to find a corridor where both wire and
 /// buffer capacity exist.
 
+#include <array>
 #include <functional>
 #include <span>
 #include <vector>
@@ -82,6 +83,18 @@ TwoPathRoute route_two_path(const tile::TileGraph& g, tile::TileId from,
 /// keeps the tile, leaving h unchanged), so the returned cost is
 /// identical to plain Dijkstra's — only equal-cost tie-breaking differs.
 /// Results are identical to route_two_path() given the same arguments.
+///
+/// Same-tile j-dominance: a label (t, j) at cost d is dropped — not
+/// pushed, or not expanded once popped — when a label (t, j' < j) of the
+/// same search already costs <= d.  Any extension of the dominated label
+/// is feasible from the dominating one at no more cost: a step or a run
+/// of steps needs j + k < L, which j' satisfies whenever j does; a buffer
+/// resets both to 0.  Ties cannot flip either: the dominating label's
+/// copy of every extension reaches each state with a key no greater
+/// (IEEE addition is monotone) and a smaller packed id, so it is popped
+/// first and wins each merge and the goal.  Routes, costs and tie-breaks
+/// are therefore those of the unpruned search; the pruning removes only
+/// work.  twopath_oracle_test checks this against unpruned Dijkstra.
 class TwoPathSearch {
  public:
   explicit TwoPathSearch(const tile::TileGraph& g);
@@ -180,14 +193,24 @@ class TwoPathSearch {
   util::DaryHeap<FieldEntry> field_heap_;
   geom::TileCoord field_hot_{0, 0};  ///< forward source; field A* target
   double field_floor_ = 0.0;         ///< admissible per-step bound (0 = off)
+  std::uint64_t field_pops_ = 0;     ///< this search's field heap pops
 };
 
 /// An editable tile-level tree: a RouteTree exploded into undirected
 /// arcs, supporting two-path removal, path insertion, pruning of dangling
 /// stubs, and reconstruction into a RouteTree.
+///
+/// Reuse contract: one editor serves every net of a pass.  It is sized to
+/// the graph once; reset() loads the next net and implicitly forgets the
+/// previous one through a per-tile stamp, so loading a net, editing it
+/// and each rebuild() cost O(tree), never O(tiles), and rebuild() keeps
+/// its BFS/prune scratch across calls.
 class TileTreeEditor {
  public:
-  TileTreeEditor(const route::RouteTree& tree, const tile::TileGraph& g);
+  explicit TileTreeEditor(const tile::TileGraph& g);
+
+  /// Loads `tree` as the arc set, discarding the previously loaded net.
+  void reset(const route::RouteTree& tree);
 
   /// Removes the arcs of a two-path (interior tiles plus both boundary
   /// arcs). `interior` may be empty (single-arc two-path).
@@ -201,19 +224,53 @@ class TileTreeEditor {
   bool in_tree(tile::TileId t) const;
 
   /// Rebuilds a RouteTree: BFS from the source over the arc set (cycle
-  /// arcs dropped), then iterative pruning of non-sink leaves.  Aborts if
-  /// any sink became unreachable.  Tiles for which `keep` returns true
-  /// are never pruned (e.g. stubs ending at a net's buffer tile).
-  route::RouteTree rebuild(
-      const std::function<bool(tile::TileId)>& keep = {}) const;
+  /// arcs dropped; each tile's arcs in insertion order), then iterative
+  /// pruning of non-sink leaves.  Aborts if any sink became unreachable.
+  /// Tiles for which `keep` returns true are never pruned (e.g. stubs
+  /// ending at a net's buffer tile).
+  route::RouteTree rebuild(const std::function<bool(tile::TileId)>& keep = {});
+
+  /// Bytes held by the per-tile arc table and the rebuild scratch.
+  std::uint64_t memory_bytes() const {
+    std::uint64_t ids = sink_tiles_.capacity() + order_.capacity();
+    ids += parent_.capacity() + live_children_.capacity() + remap_.capacity();
+    return tiles_.capacity() * sizeof(TileArcs) + ids * sizeof(std::int32_t);
+  }
 
  private:
-  const tile::TileGraph& g_;
-  tile::TileId source_;
-  std::vector<std::int32_t> sink_multiplicity_;  // per tile
-  std::vector<std::vector<tile::TileId>> adj_;   // per tile
+  /// Per-tile arc record.  `sinks` and the arcs are live only while
+  /// `epoch == epoch_` (the loaded net); `visit == visit_` marks a tile
+  /// the current rebuild() reached.  A grid tile has at most four
+  /// neighbours, so the arcs fit inline, kept in insertion order:
+  /// rebuild()'s BFS visits them in that order, which fixes the child
+  /// order of the rebuilt tree.
+  struct TileArcs {
+    std::uint32_t epoch = 0;
+    std::uint32_t visit = 0;
+    std::int32_t sinks = 0;
+    std::int32_t degree = 0;
+    std::array<tile::TileId, 4> nbr{};
+  };
+
+  TileArcs& live(tile::TileId t);
+  const TileArcs* find(tile::TileId t) const {
+    const TileArcs& a = tiles_[static_cast<std::size_t>(t)];
+    return a.epoch == epoch_ ? &a : nullptr;
+  }
   void remove_arc(tile::TileId a, tile::TileId b);
   void add_arc(tile::TileId a, tile::TileId b);
+
+  const tile::TileGraph& g_;
+  std::vector<TileArcs> tiles_;  ///< per tile, stamped by epoch_
+  std::uint32_t epoch_ = 0;
+  std::uint32_t visit_ = 0;
+  tile::TileId source_ = tile::kNoTile;
+  std::vector<tile::TileId> sink_tiles_;  ///< tiles carrying sinks
+  // rebuild() scratch, indexed by BFS order.
+  std::vector<tile::TileId> order_;
+  std::vector<std::int32_t> parent_;
+  std::vector<std::int32_t> live_children_;
+  std::vector<std::int32_t> remap_;
 };
 
 }  // namespace rabid::core

@@ -42,6 +42,7 @@ constexpr std::array<std::string_view,
         "twopath.searches",
         "twopath.heap_pushes",
         "twopath.heap_pops",
+        "twopath.field_pops",
         "pool.tasks",
         "pool.parallel_fors",
         "pool.indices_inline",

@@ -93,6 +93,7 @@ enum class Counter : std::uint16_t {
   kTwoPathSearches,    ///< route() calls
   kTwoPathHeapPushes,  ///< (tile, j) state heap insertions
   kTwoPathHeapPops,    ///< (tile, j) state heap extractions
+  kTwoPathFieldPops,   ///< heuristic-field (goal distance) heap extractions
   // util/thread_pool.cpp.
   kPoolTasks,          ///< queue tasks executed by workers
   kPoolParallelFors,   ///< parallel_for() calls

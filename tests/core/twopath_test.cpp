@@ -102,7 +102,8 @@ route::RouteTree y_tree(const tile::TileGraph& g) {
 TEST(TileTreeEditor, RebuildIdentityWithoutEdits) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = y_tree(g);
-  TileTreeEditor editor(t, g);
+  TileTreeEditor editor(g);
+  editor.reset(t);
   const route::RouteTree r = editor.rebuild();
   r.verify(g);
   EXPECT_EQ(r.node_count(), t.node_count());
@@ -116,7 +117,8 @@ TEST(TileTreeEditor, RebuildIdentityWithoutEdits) {
 TEST(TileTreeEditor, ReplaceTwoPathReroutesBranch) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = y_tree(g);
-  TileTreeEditor editor(t, g);
+  TileTreeEditor editor(g);
+  editor.reset(t);
   // Replace the right branch (3,0)->(6,0) with a detour through row 1.
   const std::vector<tile::TileId> interior{g.id_of({4, 0}), g.id_of({5, 0})};
   editor.remove_path(g.id_of({3, 0}), interior, g.id_of({6, 0}));
@@ -136,7 +138,8 @@ TEST(TileTreeEditor, ReplaceTwoPathReroutesBranch) {
 TEST(TileTreeEditor, PrunesDanglingStubsAfterCyclicAdd) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = y_tree(g);
-  TileTreeEditor editor(t, g);
+  TileTreeEditor editor(g);
+  editor.reset(t);
   // Add a path that closes a cycle: (3,3) back down to (6,0) via row 3.
   const std::vector<tile::TileId> loop{
       g.id_of({3, 3}), g.id_of({4, 3}), g.id_of({5, 3}), g.id_of({6, 3}),
@@ -153,7 +156,8 @@ TEST(TileTreeEditor, PrunesDanglingStubsAfterCyclicAdd) {
 TEST(TileTreeEditor, CollapsedTwoPathLeavesValidTree) {
   const tile::TileGraph g = make_graph();
   const route::RouteTree t = y_tree(g);
-  TileTreeEditor editor(t, g);
+  TileTreeEditor editor(g);
+  editor.reset(t);
   // Degenerate "reroute": remove the up-branch and re-add it verbatim.
   const std::vector<tile::TileId> interior{g.id_of({3, 1}), g.id_of({3, 2})};
   editor.remove_path(g.id_of({3, 0}), interior, g.id_of({3, 3}));
@@ -163,6 +167,44 @@ TEST(TileTreeEditor, CollapsedTwoPathLeavesValidTree) {
   r.verify(g);
   EXPECT_EQ(r.wirelength_tiles(), t.wirelength_tiles());
   EXPECT_EQ(r.total_sinks(), 2);
+}
+
+/// One editor serves every net of a pass: reset() must forget the
+/// previous net entirely — its arcs, sinks and edits — so the next net
+/// rebuilds exactly as it would in a fresh editor.
+TEST(TileTreeEditor, ResetForgetsThePreviousNet) {
+  const tile::TileGraph g = make_graph();
+  const route::RouteTree first = y_tree(g);
+  route::RouteTree second(g.id_of({8, 8}));
+  route::NodeId cur = second.root();
+  for (std::int32_t y = 7; y >= 5; --y) {
+    cur = second.add_child(cur, g.id_of({8, y}));
+  }
+  second.add_sink(cur);
+
+  TileTreeEditor reused(g);
+  reused.reset(first);
+  reused.add_path(std::vector<tile::TileId>{g.id_of({6, 0}), g.id_of({7, 0}),
+                                            g.id_of({8, 0})});
+  reused.rebuild();
+  reused.reset(second);
+  EXPECT_FALSE(reused.in_tree(g.id_of({0, 0})));
+  EXPECT_FALSE(reused.in_tree(g.id_of({3, 3})));
+  EXPECT_FALSE(reused.in_tree(g.id_of({8, 0})));
+  EXPECT_TRUE(reused.in_tree(g.id_of({8, 6})));
+
+  TileTreeEditor fresh(g);
+  fresh.reset(second);
+  const route::RouteTree got = reused.rebuild();
+  const route::RouteTree want = fresh.rebuild();
+  got.verify(g);
+  ASSERT_EQ(got.node_count(), want.node_count());
+  for (std::size_t i = 0; i < got.node_count(); ++i) {
+    const auto n = static_cast<route::NodeId>(i);
+    EXPECT_EQ(got.node(n).tile, want.node(n).tile);
+    EXPECT_EQ(got.node(n).parent, want.node(n).parent);
+    EXPECT_EQ(got.node(n).sink_count, want.node(n).sink_count);
+  }
 }
 
 /// The stage-4 capacity guard.  A row-0 net of four arcs needs a buffer

@@ -44,7 +44,8 @@
 //   --report F         write the structured RunReport JSON to F
 //   --trace F          write a chrome-trace (Perfetto) JSON to F
 //   --dump-design F    write the generated design (text format) to F
-//   --dump-solution F  write the final routes+buffers to F
+//   --dump-solution F  write the final routes+buffers to F (with --eco:
+//                      the replanned solution, not the batch one)
 //   --svg F            render floorplan+routes+buffers as SVG to F
 //   --two-pin          decompose multi-pin nets first (Table V setup)
 //   --bbp              alias for --backend bbp
@@ -80,6 +81,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include <fstream>
@@ -152,7 +154,8 @@ struct Args {
                "       [--checkpoint-dir D] [--resume]\n"
                "       [--buffer-library unit|paper2|paper4]\n"
                "       [--eco] [--eco-perturb F] [--eco-seed S]\n"
-               "       [--eco-verify]\n");
+               "       [--eco-verify]\n"
+               "--dump-solution writes the replanned solution under --eco\n");
   std::exit(2);
 }
 
@@ -161,6 +164,20 @@ struct Args {
 int fail(const rabid::core::Status& status) {
   std::fprintf(stderr, "%s\n", status.to_string().c_str());
   return status.exit_code();
+}
+
+/// Writes a complete solution dump (core/solution_io.hpp) to `path`.
+rabid::core::Status dump_solution(
+    const std::string& path, const rabid::netlist::Design& design,
+    const rabid::tile::TileGraph& graph,
+    std::span<const rabid::core::NetState> nets) {
+  std::ofstream out(path);
+  if (!out) {
+    return rabid::core::Status::io_error("cannot open for writing", path);
+  }
+  rabid::core::write_solution(out, design, graph, nets);
+  std::printf("wrote solution to %s\n", path.c_str());
+  return rabid::core::Status::ok();
 }
 
 Args parse(int argc, char** argv) {
@@ -405,13 +422,9 @@ int main(int argc, char** argv) {
                   args.trace_json.c_str());
     }
     if (!args.dump_solution.empty()) {
-      std::ofstream out(args.dump_solution);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.dump_solution));
-      }
-      core::write_solution(out, design, graph, alloc.nets());
-      std::printf("wrote solution to %s\n", args.dump_solution.c_str());
+      const core::Status st =
+          dump_solution(args.dump_solution, design, graph, alloc.nets());
+      if (!st) return fail(st);
     }
     if (!args.svg.empty()) {
       std::ofstream out(args.svg);
@@ -536,14 +549,11 @@ int main(int argc, char** argv) {
       std::printf("wrote chrome trace to %s (open in ui.perfetto.dev)\n",
                   args.trace_json.c_str());
     }
-    if (!args.dump_solution.empty()) {
-      std::ofstream out(args.dump_solution);
-      if (!out) {
-        return fail(core::Status::io_error("cannot open for writing",
-                                           args.dump_solution));
-      }
-      core::write_solution(out, design, graph, rabid.nets());
-      std::printf("wrote solution to %s\n", args.dump_solution.c_str());
+    // Under --eco the dump is the replanned solution, written below.
+    if (!args.dump_solution.empty() && !args.eco) {
+      const core::Status st =
+          dump_solution(args.dump_solution, design, graph, rabid.nets());
+      if (!st) return fail(st);
     }
     if (!args.svg.empty()) {
       std::ofstream out(args.svg);
@@ -581,6 +591,12 @@ int main(int argc, char** argv) {
                   static_cast<long long>(stats.dirty_nets),
                   static_cast<long long>(stats.kept_nets),
                   static_cast<long long>(stats.iterations), ms);
+      if (!args.dump_solution.empty()) {
+        const auto& nets = planner.nets();
+        const core::Status st =
+            dump_solution(args.dump_solution, planner.design(), graph, nets);
+        if (!st) return fail(st);
+      }
       if (args.eco_verify) {
         const eco::EquivalenceReport report =
             eco::compare_with_scratch(planner);

@@ -48,11 +48,13 @@ double TwoPathSearch::field_settle(tile::TileId t,
     const auto ui = static_cast<std::size_t>(top.t);
     if (field_[ui].settled == epoch_) continue;  // stale heap entry
     field_[ui].settled = epoch_;
+    // Expand from the tile's label, not top.d: the popped entry may be
+    // an ulp-worse twin of the best one (see FieldEntry).
+    const double du = field_[ui].dist;
     const tile::TileGraph::Adjacency* adj = g_.adjacency(top.t);
     const int cnt = g_.adj_count(top.t);
     for (int k = 0; k < cnt; ++k) {
-      const double nd =
-          top.d + wire_cost[static_cast<std::size_t>(adj[k].edge)];
+      const double nd = du + wire_cost[static_cast<std::size_t>(adj[k].edge)];
       const auto vi = static_cast<std::size_t>(adj[k].tile);
       FieldLabel& fl = field_[vi];
       if (fl.seen != epoch_ || nd < fl.dist) {
@@ -106,9 +108,16 @@ TwoPathRoute TwoPathSearch::route(tile::TileId from, tile::TileId to,
     field_[static_cast<std::size_t>(to)].dist = 0.0;
     // Aim the field at the forward source: astar_floor is a lower bound
     // on every wire_cost entry, so floor * manhattan is consistent for
-    // the field's own expansion (values stay exact, see field_settle).
+    // the field's own expansion.  The bound gives up 2^-20 of the floor
+    // per step.  At the full floor, keys along a floor-cost run are equal
+    // in exact arithmetic, and float rounding of labels and keys (an ulp,
+    // ~2^-53 of the distance) could then settle a tile from an ulp-worse
+    // neighbour first.  With the slack, keys along a shortest path rise
+    // by floor * 2^-20 per step, far above that rounding while distances
+    // stay below ~2^30 floors, so the path settles before the tile and
+    // every settled value is the float fixpoint (twopath_oracle_test).
     field_hot_ = g_.coord_of(from);
-    field_floor_ = astar_floor;
+    field_floor_ = astar_floor * (1.0 - 0x1p-20);
     field_heap_.push(
         {field_floor_ * static_cast<double>(
                             geom::manhattan(g_.coord_of(to), field_hot_)),

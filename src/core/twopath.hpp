@@ -17,6 +17,7 @@
 
 #include <array>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -24,7 +25,7 @@
 #include "route/maze.hpp"
 #include "route/route_tree.hpp"
 #include "tile/tile_graph.hpp"
-#include "util/dheap.hpp"
+#include "util/radix_heap.hpp"
 
 namespace rabid::core {
 
@@ -105,6 +106,15 @@ class TwoPathSearch {
                      double wire_weight = 1.0, double buffer_weight = 1.0,
                      double astar_floor = 0.0);
 
+  /// The heuristic field after the last route() with astar_floor > 0:
+  /// the settled wire distance t -> goal, or NaN where the field did not
+  /// settle `t` (twopath_oracle_test pins it to the float fixpoint).
+  double field_value(tile::TileId t) const {
+    const FieldLabel& fl = field_[static_cast<std::size_t>(t)];
+    return fl.settled == epoch_ ? fl.dist
+                                : std::numeric_limits<double>::quiet_NaN();
+  }
+
  private:
   struct Entry {
     double key;  ///< d + heuristic; == d when A* is off
@@ -115,6 +125,9 @@ class TwoPathSearch {
       return s > o.s;
     }
   };
+  /// Not a strict order: two entries of one tile can tie on (key, t)
+  /// with d an ulp apart.  field_settle expands from the tile's label,
+  /// so which of them pops first cannot change the field.
   struct FieldEntry {
     double key;  ///< d + field A* bound; == d when the bound is off
     double d;
@@ -147,16 +160,16 @@ class TwoPathSearch {
 
  public:
   /// Bytes held by the (tile x L) labels, the heuristic field, and both
-  /// heaps' backing stores (obs memory.maze_scratch accounting).
+  /// radix heaps (pool, bucket links, bottom heap) — the obs
+  /// memory.maze_scratch accounting.
   std::uint64_t memory_bytes() const {
     return static_cast<std::uint64_t>(labels_.capacity()) * sizeof(Label) +
            static_cast<std::uint64_t>(field_.capacity()) *
                sizeof(FieldLabel) +
            static_cast<std::uint64_t>(coords_.capacity()) *
                sizeof(geom::TileCoord) +
-           static_cast<std::uint64_t>(heap_.capacity()) * sizeof(Entry) +
-           static_cast<std::uint64_t>(field_heap_.capacity()) *
-               sizeof(FieldEntry);
+           heap_.memory_bytes() +
+           field_heap_.memory_bytes();
   }
 
  private:
@@ -179,18 +192,20 @@ class TwoPathSearch {
   const tile::TileGraph& g_;
   std::vector<Label> labels_;
   std::uint32_t epoch_ = 0;
-  util::DaryHeap<Entry> heap_;
+  util::RadixHeap<Entry> heap_;
 
   // Heuristic field scratch (per goal tile, stamped by epoch_).  The
   // field is itself an A* search aimed at the forward search's source:
   // with a consistent bound every settled tile's distance is exact (the
-  // standard A* optimality argument), so the *values* the forward search
-  // reads — and therefore its keys, pops, and routes — are identical to
-  // a plain-Dijkstra field; only which tiles get settled (a corridor
-  // goal -> source instead of a disk around the goal) changes.
+  // standard A* optimality argument; a 2^-20 slack in the bound keeps
+  // it exact under float rounding, see route()), so the *values* the
+  // forward search reads — and therefore its keys, pops, and routes —
+  // are identical to a plain-Dijkstra field; only which tiles get
+  // settled (a corridor goal -> source instead of a disk around the
+  // goal) changes.
   std::vector<FieldLabel> field_;
   std::vector<geom::TileCoord> coords_;  ///< per-tile coordinate table
-  util::DaryHeap<FieldEntry> field_heap_;
+  util::RadixHeap<FieldEntry> field_heap_;
   geom::TileCoord field_hot_{0, 0};  ///< forward source; field A* target
   double field_floor_ = 0.0;         ///< admissible per-step bound (0 = off)
   std::uint64_t field_pops_ = 0;     ///< this search's field heap pops

@@ -46,7 +46,7 @@
 #include "route/route_tree.hpp"
 #include "tile/region.hpp"
 #include "tile/tile_graph.hpp"
-#include "util/dheap.hpp"
+#include "util/radix_heap.hpp"
 
 namespace rabid::route {
 
@@ -173,8 +173,9 @@ class MazeRouter {
   /// Removes the confinement (the default: the whole grid).
   void unconfine() { confined_ = false; }
 
-  /// Bytes held by the router's scratch (labels, heap backing, work
-  /// lists) — the obs memory.maze_scratch accounting.
+  /// Bytes held by the router's scratch (labels, the radix heap's pool,
+  /// links and bottom heap, work lists) — the obs memory.maze_scratch
+  /// accounting.
   std::uint64_t memory_bytes() const;
 
  private:
@@ -233,7 +234,7 @@ class MazeRouter {
   std::vector<std::uint8_t> in_region_;
 
   // Reusable wavefront storage: heap backing plus grow()'s worklists.
-  util::DaryHeap<HeapEntry> heap_;
+  util::RadixHeap<HeapEntry> heap_;
   std::vector<tile::TileId> remaining_;
   std::vector<double> path_cost_;
   std::vector<tile::TileId> path_;

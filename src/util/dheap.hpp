@@ -1,21 +1,33 @@
 #pragma once
 
 /// \file dheap.hpp
-/// A 4-ary implicit min-heap used by the wavefront searches (maze
-/// routing, the stage-4 (tile x L) search, its goal-rooted heuristic
-/// field).  Versus std::push_heap/pop_heap on a binary heap this halves
-/// the tree depth and keeps each sift-down's children in one cache line,
-/// which matters because the searches are pop-dominated (every pop pays
-/// a full-depth sift).
+/// A 4-ary implicit min-heap: the bottom tier of util::RadixHeap, the
+/// queue behind every wavefront search (maze routing, the stage-4
+/// (tile x L) search, its goal-rooted heuristic field).  The radix heap
+/// files entries by key bits and hands this heap only the entries at or
+/// below its last popped key — the ties and the rare one-ulp-under
+/// pushes — so it must order them exactly as a full heap would.  Versus
+/// std::push_heap/pop_heap on a binary heap, four children per node
+/// halve the tree depth and keep each sift-down's children in one cache
+/// line.
 ///
-/// Determinism: entry types order by `operator>` which every caller
+/// Determinism: entry types order by `operator>`, which every caller
 /// defines as a *strict total order* (cost first, then an id tie-break),
 /// so the minimum element is unique and any correct heap pops the same
-/// sequence.  Swapping the heap implementation provably cannot change a
-/// route.
+/// sequence.  The radix heap keeps that property because every entry in
+/// this tier is <= its last popped key and every bucketed entry is
+/// greater, so the minimum of this tier is the global minimum (see
+/// radix_heap.hpp).  Swapping the heap implementation provably cannot
+/// change a route.
+///
+/// push/pop also take a comparator: the radix heap keeps pool slot
+/// indices here and compares them through its pool, so the comparator
+/// is passed per call rather than stored (a stored pool pointer would
+/// dangle when the owner moves).
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -42,20 +54,27 @@ class DaryHeap {
     return n;
   }
 
-  void push(T e) {
+  void push(T e) { push(e, std::greater<T>{}); }
+  /// Removes and returns the minimum element (heap must be non-empty).
+  T pop() { return pop(std::greater<T>{}); }
+
+  /// push/pop under `gt(a, b)` == "a orders after b" (a strict total
+  /// order; the same comparator on every call).
+  template <typename Greater>
+  void push(T e, const Greater& gt) {
     std::size_t i = v_.size();
     if (v_.size() == v_.capacity()) ++regrows_;
     v_.push_back(e);
     while (i > 0) {
       const std::size_t parent = (i - 1) / D;
-      if (!(v_[parent] > v_[i])) break;
+      if (!gt(v_[parent], v_[i])) break;
       std::swap(v_[parent], v_[i]);
       i = parent;
     }
   }
 
-  /// Removes and returns the minimum element (heap must be non-empty).
-  T pop() {
+  template <typename Greater>
+  T pop(const Greater& gt) {
     T top = v_.front();
     T last = v_.back();
     v_.pop_back();
@@ -68,9 +87,9 @@ class DaryHeap {
         std::size_t best = first;
         const std::size_t end = first + D < n ? first + D : n;
         for (std::size_t c = first + 1; c < end; ++c) {
-          if (v_[best] > v_[c]) best = c;
+          if (gt(v_[best], v_[c])) best = c;
         }
-        if (!(last > v_[best])) break;
+        if (!gt(last, v_[best])) break;
         v_[i] = v_[best];
         i = best;
       }

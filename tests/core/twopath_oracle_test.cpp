@@ -313,5 +313,79 @@ TEST(TwoPathOracle, ReusedSearchMatchesFreshInstance) {
   }
 }
 
+/// Wire-only distance to `goal` by Bellman-Ford to a fixed point: the
+/// minimum over paths of the float sum accumulated from the goal, which
+/// any correct Dijkstra over the same costs reproduces bit for bit
+/// (rounded addition is monotone and the costs are non-negative).
+std::vector<double> wire_fixpoint(const tile::TileGraph& g,
+                                  const std::vector<double>& wires,
+                                  tile::TileId goal) {
+  std::vector<double> dist(static_cast<std::size_t>(g.tile_count()), kInf);
+  dist[static_cast<std::size_t>(goal)] = 0.0;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (tile::TileId t = 0; t < g.tile_count(); ++t) {
+      const double d = dist[static_cast<std::size_t>(t)];
+      if (!std::isfinite(d)) continue;
+      tile::TileId nbr[4];
+      const int cnt = g.neighbors(t, nbr);
+      for (int k = 0; k < cnt; ++k) {
+        const double nd =
+            d + wires[static_cast<std::size_t>(g.edge_between(t, nbr[k]))];
+        double& to = dist[static_cast<std::size_t>(nbr[k])];
+        if (nd < to) {
+          to = nd;
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
+/// The heuristic field under tie-prone wire costs (multiples of 1/3, 0.1
+/// and 0.2, whose float sums tie exactly or miss each other by an ulp):
+/// every tile the field settles holds the wire fixpoint bit for bit.
+/// Two heap entries of one tile can tie on (key, tile) with d an ulp
+/// apart; a settle loop that expanded from the popped entry's own d
+/// instead of the tile's label would spread the worse value.
+TEST(TwoPathOracle, FieldSettlesToTheFloatFixpoint) {
+  constexpr double kSteps[] = {1 / 3.0, 2 / 3.0, 0.1, 0.2, 0.3, 0.4, 0.6};
+  util::Rng rng(20261020);
+  std::int64_t settled = 0;
+  for (int instance = 0; instance < 128; ++instance) {
+    const auto nx = static_cast<std::int32_t>(rng.uniform_int(2, 16));
+    const auto ny = static_cast<std::int32_t>(rng.uniform_int(2, 16));
+    const geom::Rect chip{{0, 0}, {100.0 * nx, 100.0 * ny}};
+    const tile::TileGraph g(chip, nx, ny);
+    std::vector<double> wires(static_cast<std::size_t>(g.edge_count()));
+    for (double& w : wires) w = kSteps[rng.uniform_int(0, 6)];
+    const auto n_tiles = static_cast<std::size_t>(g.tile_count());
+    const std::vector<double> sites(n_tiles, 0.5);
+    const double floor = *std::min_element(wires.begin(), wires.end());
+    TwoPathSearch search(g);
+    for (int pair = 0; pair < 8; ++pair) {
+      const auto a =
+          static_cast<tile::TileId>(rng.uniform_int(0, g.tile_count() - 1));
+      const auto b =
+          static_cast<tile::TileId>(rng.uniform_int(0, g.tile_count() - 1));
+      const auto L = static_cast<std::int32_t>(rng.uniform_int(1, 6));
+      search.route(a, b, L, wires, sites, 1.0, 1.0, floor);
+      const std::vector<double> want = wire_fixpoint(g, wires, b);
+      for (tile::TileId t = 0; t < g.tile_count(); ++t) {
+        const double got = search.field_value(t);
+        if (std::isnan(got)) continue;
+        ++settled;
+        const double ref = want[static_cast<std::size_t>(t)];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(ref))
+            << "instance=" << instance << " pair=" << pair << " tile=" << t
+            << ": " << got << " vs " << ref;
+      }
+    }
+  }
+  EXPECT_GT(settled, 5000);
+}
+
 }  // namespace
 }  // namespace rabid::core
